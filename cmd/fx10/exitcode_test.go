@@ -44,36 +44,18 @@ func TestMHPUnknownStrategyExitCode(t *testing.T) {
 	if err := os.WriteFile(src, []byte("array 2;\nvoid main() { L: a[0] = 1; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"mhp", "-strategy", "no-such-solver", src})
-	if err == nil {
-		t.Fatal("mhp accepted an unregistered strategy")
-	}
-	if got := exitCode(err); got != 2 {
-		t.Errorf("unknown strategy maps to exit %d, want 2 (err: %v)", got, err)
-	}
-	for _, name := range []string{"no-such-solver", "monolithic", "phased", "ptopo", "topo", "worklist"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error does not mention %q: %v", name, err)
+	// monolithic and worklist are constraints-level oracles, not
+	// registered strategies.
+	for _, name := range []string{"no-such-solver", "ptopo", "shard", "monolithic", "worklist"} {
+		err := run([]string{"mhp", "-strategy", name, src})
+		if err == nil {
+			t.Fatalf("mhp accepted the unregistered strategy %q", name)
 		}
-	}
-}
-
-// TestMHPWorkersFlag checks -workers parses and reaches the engine
-// without changing the report: ptopo at any width prints the same
-// pairs as sequential topo.
-func TestMHPWorkersFlag(t *testing.T) {
-	src := filepath.Join(t.TempDir(), "ok.fx10")
-	prog := "array 4;\nvoid main() { finish { async { A: a[1] = 1; } B: a[2] = 2; } C: a[3] = 3; }\n"
-	if err := os.WriteFile(src, []byte(prog), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{
-		{"mhp", "-strategy", "ptopo", "-workers", "4", src},
-		{"mhp", "-strategy", "ptopo", src},
-		{"mhp", "-strategy", "topo", "-workers", "4", src}, // ignored by sequential strategies
-	} {
-		if err := run(args); err != nil {
-			t.Errorf("%v: %v", args, err)
+		if got := exitCode(err); got != 2 {
+			t.Errorf("unknown strategy %q maps to exit %d, want 2 (err: %v)", name, got, err)
+		}
+		if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "[phased topo]") {
+			t.Errorf("error does not name %q and list [phased topo]: %v", name, err)
 		}
 	}
 }

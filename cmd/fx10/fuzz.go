@@ -10,7 +10,7 @@ import (
 )
 
 // cmdFuzz runs the differential soundness fuzzer: generated programs
-// are checked for observed ⊆ exact ⊆ static and cross-strategy
+// are checked for observed ⊆ exact ⊆ static and cross-algorithm
 // agreement, with violating programs delta-debugged to minimal
 // reproducers. A non-zero exit reports violations (or, with
 // -selftest, the absence of them).
@@ -58,7 +58,7 @@ func cmdFuzz(args []string) error {
 		Frontends:   *frontends,
 	}
 	if *selftest {
-		cfg.Static = difffuzz.UnsoundStatic(difffuzz.EngineStatic())
+		cfg.Static = difffuzz.UnsoundStatic(difffuzz.PipelineStatic)
 	}
 
 	rep, err := difffuzz.Run(cfg)

@@ -9,7 +9,7 @@
 //	fx10d route [flags]             fleet front door: route to replicas
 //	fx10d loadgen [flags]           drive a server and report latency
 //
-// See DESIGN.md §8 for the API and §13 for fleet routing.
+// See DESIGN.md §8 for the API and §12 for fleet routing.
 package main
 
 import (
@@ -56,7 +56,6 @@ func runServe(args []string) error {
 		workers    = fs.Int("workers", 0, "concurrent solves (0 = GOMAXPROCS)")
 		queue      = fs.Int("queue", 0, "admission queue depth (0 = 4×workers)")
 		strategy   = fs.String("strategy", "", "solver strategy (empty = default)")
-		solverW    = fs.Int("solver-workers", 0, "pool width inside parallel strategies like ptopo (0 = strategy default)")
 		cache      = fs.Int("cache", 0, "program cache entries (0 = default)")
 		sumStore   = fs.String("summary-store", "", "directory for the persistent method-summary store (empty = disabled)")
 		sumShared  = fs.Bool("summary-store-shared", false, "open the summary store in multi-process mode (fleet replicas sharing one directory)")
@@ -72,7 +71,6 @@ func runServe(args []string) error {
 		Workers:            *workers,
 		QueueDepth:         *queue,
 		Strategy:           *strategy,
-		SolverWorkers:      *solverW,
 		CacheSize:          *cache,
 		SummaryStorePath:   *sumStore,
 		SummaryStoreShared: *sumShared,

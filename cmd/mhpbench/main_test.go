@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"fx10/internal/experiments"
 )
 
 func captureRun(t *testing.T, figure string) (string, error) {
@@ -135,36 +133,6 @@ func TestFigureListsAgree(t *testing.T) {
 	}
 }
 
-func TestParallelSection(t *testing.T) {
-	oldSizes, oldWorkers := experiments.ParallelBenchSizes, experiments.ParallelBenchWorkers
-	experiments.ParallelBenchSizes, experiments.ParallelBenchWorkers = []int{600}, []int{2}
-	defer func() {
-		experiments.ParallelBenchSizes, experiments.ParallelBenchWorkers = oldSizes, oldWorkers
-	}()
-
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-
-	path := t.TempDir() + "/bench.json"
-	if err := run("parallel", 1, "", path, 5, ""); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("benchjson not written: %v", err)
-	}
-	for _, frag := range []string{`"strategy": "ptopo"`, `"strategy": "topo"`, `"strategy": "worklist"`, `"ns_per_op"`, `"num_cpu"`, `"gomaxprocs"`} {
-		if !strings.Contains(string(data), frag) {
-			t.Fatalf("benchjson missing %q:\n%s", frag, data)
-		}
-	}
-}
-
 func TestSolverSection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full strategy sweep")
@@ -185,9 +153,14 @@ func TestSolverSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"strategy": "topo"`, `"benchmark": "mg"`, `"ns_per_op"`, `"evaluations"`, `"allocs_per_op"`} {
+	for _, frag := range []string{`"strategy": "topo"`, `"strategy": "phased"`, `"benchmark": "mg"`, `"ns_per_op"`, `"evaluations"`, `"allocs_per_op"`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
+		}
+	}
+	for _, frag := range []string{`"strategy": "monolithic"`, `"strategy": "worklist"`} {
+		if strings.Contains(string(data), frag) {
+			t.Fatalf("benchjson lists an unregistered strategy %q", frag)
 		}
 	}
 }
@@ -205,14 +178,14 @@ func TestIncrementalSection(t *testing.T) {
 	defer func() { os.Stdout = old; devnull.Close() }()
 
 	path := t.TempDir() + "/bench.json"
-	if err := run("incremental", 1, "worklist", path, 5, ""); err != nil {
+	if err := run("incremental", 1, "phased", path, 5, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"strategy": "worklist"`, `"benchmark": "mg"`, `"delta_ns_per_op"`, `"strict_subset_edits"`, `"identical": true`} {
+	for _, frag := range []string{`"strategy": "phased"`, `"benchmark": "mg"`, `"delta_ns_per_op"`, `"strict_subset_edits"`, `"identical": true`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
 		}
@@ -220,12 +193,14 @@ func TestIncrementalSection(t *testing.T) {
 }
 
 func TestUnknownStrategy(t *testing.T) {
-	err := run("incremental", 1, "no-such-solver", "", 5, "")
-	if err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	if !strings.Contains(err.Error(), "no-such-solver") || !strings.Contains(err.Error(), "phased") {
-		t.Fatalf("error does not name the strategy and the registered names: %v", err)
+	for _, name := range []string{"no-such-solver", "ptopo", "shard", "worklist"} {
+		err := run("incremental", 1, name, "", 5, "")
+		if err == nil {
+			t.Fatalf("unknown strategy %q accepted", name)
+		}
+		if exitCode(err) != 2 || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "[phased topo]") {
+			t.Fatalf("error does not name the strategy and the registered names [phased topo]: %v", err)
+		}
 	}
 }
 

@@ -11,22 +11,17 @@
 // conservatively with diagnostics, so `fx10 mhp main.go` analyzes
 // ordinary Go), synthetic reconstructions of the paper's 13
 // benchmarks, and harnesses regenerating Figures 5–9. The analysis
-// runs through a unified engine with six pluggable solver strategies
-// (including ptopo, a parallel topological solver that schedules SCC
-// components of the condensed constraint graph onto a bounded worker
-// pool, and shard, a place-sharded solver that partitions the
-// constraint system by method shard and solves shards concurrently
-// with a deterministic merge loop — both bit-identical to their
-// sequential counterparts), a two-tier
-// content-hash cache (whole-program results and cross-program method
-// summaries, the latter optionally backed by a crash-safe persistent
-// store (internal/sumstore) so summaries survive restarts and are
-// shared across processes) and method-granular incremental
-// re-analysis (engine.AnalyzeDelta), all differentially fuzzed
-// against exact and observed parallelism and scale-tested on
-// generated programs past 100k labels (internal/progen's huge tier,
-// BENCH_parallel.json). The engine also serves as a long-lived
-// HTTP/JSON daemon (cmd/fx10d): admission-controlled solves,
+// runs through a unified engine with one production solver (topo,
+// SCC-condensed topological propagation) and the paper's three-phase
+// solver (phased, Section 5.3) as the reference it is checked
+// against, a two-tier content-hash cache (whole-program results and
+// cross-program method summaries, the latter optionally backed by a
+// crash-safe persistent store (internal/sumstore) so summaries survive
+// restarts and are shared across processes) and method-granular
+// incremental re-analysis (engine.AnalyzeDelta), all differentially
+// fuzzed against exact and observed parallelism and scale-tested on
+// generated programs (internal/progen's huge tier). The engine also
+// serves as a long-lived HTTP/JSON daemon (cmd/fx10d): admission-controlled solves,
 // singleflight coalescing, batch corpus submission under one
 // admission slot (/v1/batch), editor delta sessions, per-request
 // language selection through the front-end registry, and live
@@ -37,12 +32,13 @@
 // store shareable across processes (sumstore.OpenShared). Front
 // ends are held to the analysis's soundness bar by a cross-front-end
 // oracle (X10 and Go renderings of the same program must analyze
-// bit-identically under every strategy, and runtime-observed pairs
-// on lowered Go must be contained in the static relation). The Section 8 clocks
-// extension is analyzed, not just executed: per-label phase
-// inference (internal/clocks) feeds phase-ordering facts into
-// constraint solving, so barrier-separated pairs are pruned
-// identically under every solver strategy and the incremental path,
+// bit-identically under every solving algorithm, and runtime-observed
+// pairs on lowered Go must be contained in the static relation). The
+// Section 8 clocks extension is analyzed, not just executed:
+// per-label phase inference (internal/clocks) feeds phase-ordering
+// facts into constraint solving, so barrier-separated pairs are
+// pruned identically under every solving algorithm and the
+// incremental path,
 // with soundness fuzzed against an exhaustive barrier-semantics
 // explorer and a clocked reference interpreter.
 //

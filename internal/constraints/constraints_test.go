@@ -82,7 +82,7 @@ func TestFigure5Constraints(t *testing.T) {
 // evaluation of Figure 5.
 func TestExample21Level1Solution(t *testing.T) {
 	p, sys := gen(t, fixtures.Example21Source, ContextSensitive)
-	sol := sys.Solve(Options{})
+	sol := sys.Solve(Phased)
 	check := func(varName string, want ...string) {
 		t.Helper()
 		var v SetVar = -1
@@ -129,7 +129,7 @@ func TestSolvedMHPMatchesPaper(t *testing.T) {
 	}
 	for i, tc := range cases {
 		p, sys := gen(t, tc.src, ContextSensitive)
-		sol := sys.Solve(Options{})
+		sol := sys.Solve(Phased)
 		want := namedPairs(t, p, tc.pairs)
 		if !sol.MainM().Equal(want) {
 			t.Fatalf("case %d: solved M = %v, want %v", i, sol.MainM(), want)
@@ -151,7 +151,7 @@ func TestEquivalenceTheorem4(t *testing.T) {
 		p := parser.MustParse(src)
 		in := labels.Compute(p)
 		sys := Generate(in, ContextSensitive)
-		sol := sys.Solve(Options{})
+		sol := sys.Solve(Phased)
 		env := sol.Env()
 
 		c := types.NewChecker(in)
@@ -169,8 +169,8 @@ func TestEquivalenceTheorem4(t *testing.T) {
 func TestMonolithicEqualsPhased(t *testing.T) {
 	for _, src := range []string{fixtures.Example21Source, fixtures.Example22Source} {
 		p, sys := gen(t, src, ContextSensitive)
-		a := sys.Solve(Options{})
-		b := sys.Solve(Options{Monolithic: true})
+		a := sys.Solve(Phased)
+		b := sys.Solve(Monolithic)
 		for mi := range p.Methods {
 			sa, sb := a.MethodSummary(mi), b.MethodSummary(mi)
 			if !sa.Equal(sb) {
@@ -186,9 +186,9 @@ func TestMonolithicEqualsPhased(t *testing.T) {
 // comparison.
 func TestContextInsensitiveFalsePositive(t *testing.T) {
 	p, csSys := gen(t, fixtures.Example22Source, ContextSensitive)
-	cs := csSys.Solve(Options{})
+	cs := csSys.Solve(Phased)
 	_, ciSys := gen(t, fixtures.Example22Source, ContextInsensitive)
-	ci := ciSys.Solve(Options{})
+	ci := ciSys.Solve(Phased)
 
 	s3, _ := p.LabelByName("S3")
 	s4, _ := p.LabelByName("S4")
@@ -209,9 +209,9 @@ func TestContextInsensitiveFalsePositive(t *testing.T) {
 // observed on the 11 smaller benchmarks).
 func TestModesAgreeWithoutCalls(t *testing.T) {
 	p, csSys := gen(t, fixtures.Example21Source, ContextSensitive)
-	cs := csSys.Solve(Options{})
+	cs := csSys.Solve(Phased)
 	_, ciSys := gen(t, fixtures.Example21Source, ContextInsensitive)
-	ci := ciSys.Solve(Options{})
+	ci := ciSys.Solve(Phased)
 	if !cs.MainM().Equal(ci.MainM()) {
 		t.Fatalf("modes disagree on a call-free program")
 	}
@@ -250,7 +250,7 @@ func TestCounts(t *testing.T) {
 
 func TestIterationCountsSane(t *testing.T) {
 	_, sys := gen(t, fixtures.Example22Source, ContextSensitive)
-	sol := sys.Solve(Options{})
+	sol := sys.Solve(Phased)
 	if sol.IterSlabels < 2 || sol.IterL1 < 2 || sol.IterL2 < 2 {
 		t.Fatalf("iteration counts too small: %d/%d/%d", sol.IterSlabels, sol.IterL1, sol.IterL2)
 	}
@@ -274,9 +274,9 @@ void c3() { c4(); }
 void c4() { B: async { Y: skip; } }
 `
 	_, csSys := gen(t, src, ContextSensitive)
-	cs := csSys.Solve(Options{})
+	cs := csSys.Solve(Phased)
 	_, ciSys := gen(t, src, ContextInsensitive)
-	ci := ciSys.Solve(Options{})
+	ci := ciSys.Solve(Phased)
 	if ci.IterL1 <= cs.IterL1 {
 		t.Fatalf("expected CI to need more level-1 passes: CI %d vs CS %d", ci.IterL1, cs.IterL1)
 	}
@@ -284,7 +284,7 @@ void c4() { B: async { Y: skip; } }
 
 func TestStmtAccessors(t *testing.T) {
 	p, sys := gen(t, fixtures.Example21Source, ContextSensitive)
-	sol := sys.Solve(Options{})
+	sol := sys.Solve(Phased)
 	body := p.Main().Body
 	if !sol.StmtR(body).Empty() {
 		t.Fatalf("r of main body not empty")
@@ -319,8 +319,8 @@ func TestWorklistEqualsPhased(t *testing.T) {
 	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
 		for i, src := range srcs {
 			p, sys := gen(t, src, mode)
-			a := sys.Solve(Options{})
-			b := sys.Solve(Options{Worklist: true})
+			a := sys.Solve(Phased)
+			b := sys.Solve(Worklist)
 			for mi := range p.Methods {
 				if !a.MethodSummary(mi).Equal(b.MethodSummary(mi)) {
 					t.Fatalf("mode %v case %d: worklist differs on method %d", mode, i, mi)
@@ -333,5 +333,20 @@ func TestWorklistEqualsPhased(t *testing.T) {
 				t.Fatalf("worklist should not report pass counts")
 			}
 		}
+	}
+}
+
+// TestValuationEqualDetectsDifference guards the comparator itself:
+// solutions of different programs must not compare equal.
+func TestValuationEqualDetectsDifference(t *testing.T) {
+	_, sys1 := gen(t, fixtures.Example21Source, ContextSensitive)
+	_, sys2 := gen(t, fixtures.Example22Source, ContextSensitive)
+	a := sys1.Solve(Phased)
+	b := sys2.Solve(Phased)
+	if a.ValuationEqual(b) {
+		t.Fatal("valuations of different programs compare equal")
+	}
+	if !a.ValuationEqual(sys1.Solve(Worklist)) {
+		t.Fatal("same system solved twice compares unequal")
 	}
 }

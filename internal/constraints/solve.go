@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -10,66 +11,51 @@ import (
 	"fx10/internal/types"
 )
 
-// Options configures constraint solving.
-//
-// Monolithic, Worklist and Topo are mutually exclusive; Solve
-// normalizes the combination (Topo wins over Worklist wins over
-// Monolithic) via Normalize, so the flags never select an undefined
-// hybrid. Engine callers should prefer the named strategies of
-// internal/engine, whose registry makes the invalid combinations
-// unrepresentable.
-type Options struct {
-	// Monolithic disables the paper's three-phase optimization
-	// (Section 5.3) and instead iterates level-1 and level-2
-	// constraints together until a joint fixpoint, re-evaluating
-	// cross terms every pass. Kept as an ablation baseline; results
-	// are identical, time is worse.
-	Monolithic bool
-	// Worklist replaces the pass-based iteration with a worklist
-	// that re-evaluates only constraints whose inputs changed
-	// (still phased). Results are identical; Evaluations is
-	// reported instead of pass counts. Mutually exclusive with
-	// Monolithic (Worklist wins).
-	Worklist bool
-	// Topo eliminates iteration instead of just pruning it: each
-	// level's constraint graph is condensed into strongly connected
-	// components (Tarjan), every variable in a cycle provably shares
-	// the SCC's least value and is aliased to one representative, and
-	// components are solved exactly once in topological order (see
-	// topo.go). Results are identical; Evaluations counts the
-	// near-minimal constraint evaluations. Wins over both other
-	// flags.
-	Topo bool
-	// Parallel runs the topo solve concurrently: components of the
-	// condensed constraint DAG are scheduled onto a bounded worker
-	// pool as soon as all their predecessors are solved (see
-	// ptopo.go). Results are bit-identical to Topo, including the
-	// Evaluations count. Wins over every other flag.
-	Parallel bool
-	// Workers bounds the parallel solver's pool; ≤ 0 means
-	// runtime.GOMAXPROCS(0). Ignored (normalized to 0) unless
-	// Parallel is set. Worker count never affects results, only wall
-	// clock.
-	Workers int
-}
+// Algorithm selects how Solve reaches the least solution. Theorems
+// 5–6 make that solution unique, so the algorithms differ only in cost
+// and in which work counters they fill in (pass counts or
+// Evaluations).
+type Algorithm int
 
-// Normalize resolves the strategy flags' mutual exclusion: Parallel
-// wins over Topo, which wins over Worklist, which wins over
-// Monolithic; Workers is zeroed unless Parallel survives. Solve calls
-// this, so it is the single place the invariant is enforced.
-func (o Options) Normalize() Options {
-	if o.Parallel {
-		o.Topo, o.Worklist, o.Monolithic = false, false, false
-	} else {
-		o.Workers = 0
+const (
+	// Phased is the paper's three-phase solver (Section 5.3): level-1
+	// passes to a fixpoint, cross terms folded in once, then level-2
+	// passes. It is the reference every other algorithm is checked
+	// against, and the one whose pass counts Figures 8 and 9 report.
+	Phased Algorithm = iota
+	// Topo condenses each level's constraint graph into strongly
+	// connected components (Tarjan), aliases every variable of a
+	// cycle to one representative, and solves components once in
+	// topological order (see topo.go). It is the production solver.
+	// Evaluations counts the near-minimal constraint evaluations.
+	Topo
+	// Monolithic disables the three-phase optimization and iterates
+	// level-1 and level-2 constraints together to a joint fixpoint,
+	// re-evaluating cross terms every pass. Kept as an ablation
+	// oracle.
+	Monolithic
+	// Worklist re-evaluates only the constraints whose inputs changed
+	// (still phased); Evaluations counts the re-evaluations. Kept as
+	// an oracle, and the basis of SolveDelta's restricted solves.
+	Worklist
+)
+
+// Algorithms lists every algorithm, reference (Phased) first — the
+// sweep the equivalence oracles run.
+func Algorithms() []Algorithm { return []Algorithm{Phased, Topo, Monolithic, Worklist} }
+
+func (a Algorithm) String() string {
+	switch a {
+	case Phased:
+		return "phased"
+	case Topo:
+		return "topo"
+	case Monolithic:
+		return "monolithic"
+	case Worklist:
+		return "worklist"
 	}
-	if o.Topo {
-		o.Worklist, o.Monolithic = false, false
-	}
-	if o.Worklist {
-		o.Monolithic = false
-	}
-	return o
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // Solution is a least solution of a System, with solver metrics.
@@ -82,8 +68,8 @@ type Solution struct {
 	// IterSlabels, IterL1 and IterL2 are the fixpoint pass counts of
 	// the three phases (each includes the final, no-change pass). In
 	// monolithic mode IterL1 == IterL2 == joint pass count; in
-	// worklist mode they stay zero and Evaluations counts constraint
-	// re-evaluations instead.
+	// worklist and topo mode IterL1 and IterL2 stay zero and
+	// Evaluations counts constraint evaluations instead.
 	IterSlabels int
 	IterL1      int
 	IterL2      int
@@ -114,25 +100,19 @@ type Solution struct {
 	// FootprintBytes estimates the memory retained by the solved
 	// valuation itself.
 	FootprintBytes int
-
-	// Shard, set only by the sharded solver (internal/shard via
-	// NewSolution), describes how the solve was partitioned and
-	// merged; nil for the built-in strategies.
-	Shard *ShardStats
 }
 
 // Solve computes the least solution of the system (Theorem 5: the
 // constraints define a monotone function on a finite lattice, so a
 // least fixpoint exists; we reach it by accumulating iteration from
 // the bottom valuation).
-func (s *System) Solve(opts Options) *Solution {
-	return s.solve(context.Background(), opts)
+func (s *System) Solve(alg Algorithm) *Solution {
+	return s.solve(context.Background(), alg)
 }
 
 // solve is the shared core of Solve and SolveCtx. It unwinds with a
 // canceledPanic when ctx is cancelled mid-solve (see cancel.go).
-func (s *System) solve(ctx context.Context, opts Options) *Solution {
-	opts = opts.Normalize()
+func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
@@ -145,10 +125,10 @@ func (s *System) solve(ctx context.Context, opts Options) *Solution {
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
-	// The topo solvers allocate their own valuation (one slab for all
+	// The topo solver allocates its own valuation (one slab for all
 	// set variables, aliased pair bags); the iterative solvers start
 	// from an explicit bottom valuation.
-	if !opts.Topo && !opts.Parallel {
+	if alg != Topo {
 		for i := range sol.setVals {
 			sol.setVals[i] = intset.New(n)
 		}
@@ -157,21 +137,20 @@ func (s *System) solve(ctx context.Context, opts Options) *Solution {
 		}
 	}
 
-	switch {
-	case opts.Parallel:
-		sol.solveParallelL1(opts.Workers)
-		sol.solveParallelL2(opts.Workers)
-	case opts.Topo:
-		sol.solveTopoL1()
-		sol.solveTopoL2()
-	case opts.Worklist:
-		sol.solveL1Worklist()
-		sol.solveL2Worklist()
-	case opts.Monolithic:
-		sol.solveMonolithic()
-	default:
+	switch alg {
+	case Phased:
 		sol.solveL1()
 		sol.solveL2()
+	case Topo:
+		sol.solveTopoL1()
+		sol.solveTopoL2()
+	case Monolithic:
+		sol.solveMonolithic()
+	case Worklist:
+		sol.solveL1Worklist()
+		sol.solveL2Worklist()
+	default:
+		panic(fmt.Sprintf("constraints: unknown %v", alg))
 	}
 	sol.scratch = solverScratch{}
 

@@ -13,12 +13,14 @@
 //	  - exact: the exhaustive-interleaving relation of internal/explore,
 //	    the ground truth MHP(p) of Theorem 2 (budget-bounded, so itself
 //	    a lower bound when exploration is incomplete);
-//	  - static: the type-inference relation M of the analysis engine,
+//	  - static: the type-inference relation M of the analysis pipeline,
 //	    which Theorems 2–3 prove is a sound over-approximation.
 //
-// The static relation is computed under every registered solver
-// strategy and the results must be bit-identical — the strategies
-// implement one specification and any divergence is a solver bug.
+// The static relation is computed under every constraints solving
+// algorithm (the phased reference, the production topo solver and the
+// monolithic and worklist oracles) and the results must be
+// bit-identical — the algorithms implement one specification and any
+// divergence is a solver bug.
 //
 // The gap static \ exact is the analysis' imprecision; Run reports it
 // per program in a Figure-7-style summary table (FormatReport).
@@ -42,6 +44,7 @@ import (
 	"fx10/internal/engine"
 	"fx10/internal/explore"
 	"fx10/internal/intset"
+	"fx10/internal/labels"
 	"fx10/internal/parser"
 	"fx10/internal/progen"
 	"fx10/internal/syntax"
@@ -49,39 +52,28 @@ import (
 	fxruntime "fx10/internal/runtime"
 )
 
-// StaticFunc computes the static MHP relation of p under a named
-// solver strategy. The default (EngineStatic) runs the production
-// analysis engine; tests substitute deliberately broken
-// implementations (UnsoundStatic) to prove the harness catches them.
-type StaticFunc func(p *syntax.Program, strategy string) (*intset.PairSet, error)
+// StaticFunc computes the static MHP relation of p under one solving
+// algorithm. The default (PipelineStatic) runs the production analysis
+// pipeline; tests substitute deliberately broken implementations
+// (UnsoundStatic) to prove the harness catches them.
+type StaticFunc func(p *syntax.Program, alg constraints.Algorithm) (*intset.PairSet, error)
 
-// EngineStatic returns the production StaticFunc: one cache-free
-// engine per strategy, created lazily and shared across calls.
-func EngineStatic() StaticFunc {
-	var mu sync.Mutex
-	engines := map[string]*engine.Engine{}
-	return func(p *syntax.Program, strategy string) (*intset.PairSet, error) {
-		mu.Lock()
-		e := engines[strategy]
-		if e == nil {
-			var err error
-			// Caching is off: the fuzzer analyzes each program once
-			// per strategy, and the minimizer must re-analyze every
-			// shrunk candidate for real.
-			e, err = engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
-			if err != nil {
-				mu.Unlock()
-				return nil, err
-			}
-			engines[strategy] = e
-		}
-		mu.Unlock()
-		res, err := e.Analyze(engine.Job{Name: "difffuzz", Program: p, Mode: constraints.ContextSensitive})
-		if err != nil {
-			return nil, err
-		}
-		return res.M, nil
-	}
+// PipelineStatic is the production StaticFunc: the context-sensitive
+// M of a fresh, uncached pipeline run (the minimizer must re-analyze
+// every shrunk candidate for real).
+func PipelineStatic(p *syntax.Program, alg constraints.Algorithm) (*intset.PairSet, error) {
+	return analyze(p, constraints.ContextSensitive, alg).M, nil
+}
+
+// analyze runs the stages engine.Analyze runs on a cache miss —
+// labels, constraint generation, solve, summary extraction — under
+// any algorithm, including the oracles the engine registry does not
+// expose.
+func analyze(p *syntax.Program, mode constraints.Mode, alg constraints.Algorithm) *engine.Result {
+	info := labels.Compute(p)
+	sys := constraints.Generate(info, mode)
+	sol := sys.Solve(alg)
+	return &engine.Result{Program: p, Info: info, Sys: sys, Sol: sol, Env: sol.Env(), M: sol.MainM()}
 }
 
 // UnsoundStatic wraps base with a deliberate soundness bug: every
@@ -90,8 +82,8 @@ func EngineStatic() StaticFunc {
 // resulting exact ⊄ static violation and that the minimizer shrinks
 // the witness program.
 func UnsoundStatic(base StaticFunc) StaticFunc {
-	return func(p *syntax.Program, strategy string) (*intset.PairSet, error) {
-		m, err := base(p, strategy)
+	return func(p *syntax.Program, alg constraints.Algorithm) (*intset.PairSet, error) {
+		m, err := base(p, alg)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +125,7 @@ const (
 	// proves impossible — an instrumentation or semantics bug. Only
 	// checkable when exploration completed.
 	KindObservedNotExact Kind = "observed-not-in-exact"
-	// KindStrategyDivergence: two solver strategies disagree.
+	// KindStrategyDivergence: two solving algorithms disagree.
 	KindStrategyDivergence Kind = "strategy-divergence"
 	// KindDeltaDivergence: incremental re-analysis (engine.AnalyzeDelta
 	// after a single-method mutation) differs from solving the mutated
@@ -197,7 +189,7 @@ type ProgramStat struct {
 type Report struct {
 	Programs   int
 	Complete   int // programs whose exploration finished
-	Strategies []string
+	Algorithms []constraints.Algorithm
 	Stats      []ProgramStat
 	Violations []*Violation
 }
@@ -235,21 +227,21 @@ type Config struct {
 	MaxSteps int64
 	// Parallel bounds worker concurrency (default GOMAXPROCS).
 	Parallel int
-	// Strategies are the solver strategies to cross-check (default:
-	// all registered, i.e. engine.Strategies()).
-	Strategies []string
-	// Static computes the static relation (default EngineStatic()).
+	// Algorithms are the solving algorithms to cross-check, reference
+	// first (default: constraints.Algorithms()).
+	Algorithms []constraints.Algorithm
+	// Static computes the static relation (default PipelineStatic).
 	Static StaticFunc
 	// Frontends enables the cross-front-end oracle: each (unclocked)
 	// program is rendered as X10 and as Go source, lowered through
-	// both front ends, and the per-strategy MHP reports must be
+	// both front ends, and the per-algorithm MHP reports must be
 	// bit-identical; the runtime observer additionally checks
 	// observed ⊆ static on the Go-lowered program. See CheckFrontends.
 	Frontends bool
 	// Incremental enables the incremental oracle: each program is
 	// mutated in one seeded-random method and re-analyzed both
 	// incrementally (engine.AnalyzeDelta) and from scratch under every
-	// strategy and both modes; any valuation difference is a
+	// algorithm and both modes; any valuation difference is a
 	// KindDeltaDivergence violation.
 	Incremental bool
 	// Minimize enables delta-debugging of violating programs.
@@ -285,11 +277,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if len(cfg.Strategies) == 0 {
-		cfg.Strategies = engine.Strategies()
+	if len(cfg.Algorithms) == 0 {
+		cfg.Algorithms = constraints.Algorithms()
 	}
 	if cfg.Static == nil {
-		cfg.Static = EngineStatic()
+		cfg.Static = PipelineStatic
 	}
 	if cfg.MinimizeBudget <= 0 {
 		cfg.MinimizeBudget = 2000
@@ -339,7 +331,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	wg.Wait()
 
-	rep := &Report{Strategies: cfg.Strategies}
+	rep := &Report{Algorithms: cfg.Algorithms}
 	for _, out := range results {
 		rep.Programs++
 		if out.stat.Complete {
@@ -380,7 +372,7 @@ func (cfg Config) reproduces(kind Kind, seed int64) func(*syntax.Program) bool {
 }
 
 // checkProgram runs the full differential check on one program:
-// static under every strategy, exhaustive exploration, recorded
+// static under every algorithm, exhaustive exploration, recorded
 // runtime executions, then the lattice assertions.
 func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, vs []*Violation) {
 	stat.Seed = seed
@@ -394,12 +386,12 @@ func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, 
 		}
 	}()
 
-	// Static relation under every strategy; all must agree bitwise.
-	statics := make([]*intset.PairSet, len(cfg.Strategies))
-	for i, s := range cfg.Strategies {
-		m, err := cfg.Static(p, s)
+	// Static relation under every algorithm; all must agree bitwise.
+	statics := make([]*intset.PairSet, len(cfg.Algorithms))
+	for i, alg := range cfg.Algorithms {
+		m, err := cfg.Static(p, alg)
 		if err != nil {
-			fail(KindError, "static analysis (%s): %v", s, err)
+			fail(KindError, "static analysis (%v): %v", alg, err)
 			return stat, vs
 		}
 		statics[i] = m
@@ -407,8 +399,8 @@ func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, 
 	static := statics[0]
 	for i := 1; i < len(statics); i++ {
 		if !statics[i].Equal(static) {
-			fail(KindStrategyDivergence, "strategy %q: %d ordered pairs vs %q: %d (first diff %s)",
-				cfg.Strategies[i], statics[i].Len(), cfg.Strategies[0], static.Len(),
+			fail(KindStrategyDivergence, "algorithm %v: %d ordered pairs vs %v: %d (first diff %s)",
+				cfg.Algorithms[i], statics[i].Len(), cfg.Algorithms[0], static.Len(),
 				firstDiff(statics[i], static))
 		}
 	}
@@ -423,7 +415,7 @@ func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, 
 	// Cross-front-end oracle: X10 and Go renderings of the program
 	// must analyze bit-identically through their front ends.
 	if cfg.Frontends {
-		vs = append(vs, CheckFrontends(p, seed, cfg.Strategies)...)
+		vs = append(vs, CheckFrontends(p, seed, cfg.Algorithms)...)
 	}
 
 	// Exact relation by exhaustive interleaving search — under the
@@ -516,11 +508,11 @@ func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, 
 }
 
 // checkIncremental is the incremental oracle: mutate one
-// seeded-random method of p, then assert for every strategy and both
-// analysis modes that engine.AnalyzeDelta over the base result equals
-// a from-scratch analysis of the mutant bit for bit. The mutation is
-// deterministic in (p, seed), so violations replay through the
-// minimizer.
+// seeded-random method of p, then assert for every algorithm and both
+// analysis modes that engine.AnalyzeDelta over a base result solved by
+// that algorithm equals a from-scratch analysis of the mutant by the
+// same algorithm, bit for bit. The mutation is deterministic in
+// (p, seed), so violations replay through the minimizer.
 func checkIncremental(cfg Config, p *syntax.Program, seed int64) (vs []*Violation) {
 	fail := func(kind Kind, format string, args ...any) {
 		vs = append(vs, &Violation{Kind: kind, Seed: seed, Detail: fmt.Sprintf(format, args...), Program: p})
@@ -528,34 +520,21 @@ func checkIncremental(cfg Config, p *syntax.Program, seed int64) (vs []*Violatio
 	rng := rand.New(rand.NewSource(seed ^ 0x1e7a))
 	mi := rng.Intn(len(p.Methods))
 	edited := progen.MutateMethod(p, mi, rng.Int63())
-	for _, s := range cfg.Strategies {
+	// Cache off: the delta path must solve for real.
+	e := engine.MustNew(engine.Config{CacheSize: -1})
+	for _, alg := range cfg.Algorithms {
 		for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
-			// Cache off: the delta and scratch paths must both solve
-			// for real.
-			e, err := engine.New(engine.Config{Strategy: s, CacheSize: -1})
-			if err != nil {
-				fail(KindError, "incremental oracle (%s): %v", s, err)
-				return vs
-			}
-			base, err := e.Analyze(engine.Job{Name: "difffuzz-base", Program: p, Mode: mode})
-			if err != nil {
-				fail(KindError, "incremental oracle base (%s, %v): %v", s, mode, err)
-				continue
-			}
+			base := analyze(p, mode, alg)
 			delta, err := e.AnalyzeDelta(base, edited)
 			if err != nil {
-				fail(KindError, "incremental oracle delta (%s, %v): %v", s, mode, err)
+				fail(KindError, "incremental oracle delta (%v, %v): %v", alg, mode, err)
 				continue
 			}
-			scratch, err := e.Analyze(engine.Job{Name: "difffuzz-scratch", Program: edited, Mode: mode})
-			if err != nil {
-				fail(KindError, "incremental oracle scratch (%s, %v): %v", s, mode, err)
-				continue
-			}
+			scratch := analyze(edited, mode, alg)
 			if !delta.Sol.ValuationEqual(scratch.Sol) || !delta.M.Equal(scratch.M) {
 				fail(KindDeltaDivergence,
-					"strategy %q, mode %v: delta re-analysis after mutating method %q differs from scratch (first M diff %s)",
-					s, mode, p.Methods[mi].Name, firstDiff(delta.M, scratch.M))
+					"algorithm %v, mode %v: delta re-analysis after mutating method %q differs from scratch (first M diff %s)",
+					alg, mode, p.Methods[mi].Name, firstDiff(delta.M, scratch.M))
 			}
 		}
 	}
@@ -612,8 +591,8 @@ func firstDiff(a, b *intset.PairSet) string {
 // then a precision histogram and any violations.
 func FormatReport(r *Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "differential fuzz: %d programs, %d explored completely, strategies: %s\n\n",
-		r.Programs, r.Complete, strings.Join(r.Strategies, " "))
+	fmt.Fprintf(&b, "differential fuzz: %d programs, %d explored completely, algorithms: %v\n\n",
+		r.Programs, r.Complete, r.Algorithms)
 
 	type agg struct {
 		programs, complete, states      int
@@ -681,7 +660,7 @@ func FormatReport(r *Report) string {
 	}
 
 	if len(r.Violations) == 0 {
-		b.WriteString("\nviolations: none — observed ⊆ exact ⊆ static held and all strategies agreed\n")
+		b.WriteString("\nviolations: none — observed ⊆ exact ⊆ static held and all algorithms agreed\n")
 	} else {
 		fmt.Fprintf(&b, "\nviolations: %d\n", len(r.Violations))
 		for _, v := range r.Violations {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"fx10/internal/engine"
+	"fx10/internal/constraints"
 	"fx10/internal/intset"
 	"fx10/internal/progen"
 	"fx10/internal/syntax"
@@ -13,7 +13,7 @@ import (
 
 // TestSweepClean is the core differential property: on a sweep of
 // generated programs, observed ⊆ exact ⊆ static holds, all solver
-// strategies agree bitwise, and no progress violations occur.
+// algorithms agree bitwise, and no progress violations occur.
 func TestSweepClean(t *testing.T) {
 	cfg := Config{Seeds: []int64{1}, N: 60, Runs: 2, MaxStates: 100_000, Incremental: true}
 	if testing.Short() {
@@ -58,7 +58,7 @@ func TestSweepClean(t *testing.T) {
 // corpus: observed (clocked interpreter) ⊆ exact (barrier-aware
 // explorer) ⊆ static (phase-aware analysis), with no deadlocks or
 // dynamic clock-use errors — the generator promises a clean corpus —
-// and bit-identical answers across strategies and delta re-analysis.
+// and bit-identical answers across algorithms and delta re-analysis.
 func TestSweepCleanClocked(t *testing.T) {
 	cfg := Config{Seeds: []int64{11}, N: 60, Runs: 2, MaxStates: 100_000, Clocked: true, Incremental: true}
 	if testing.Short() {
@@ -98,7 +98,7 @@ func TestMutationSelfTest(t *testing.T) {
 		N:          40,
 		Runs:       2,
 		MaxStates:  100_000,
-		Static:     UnsoundStatic(EngineStatic()),
+		Static:     UnsoundStatic(PipelineStatic),
 		Minimize:   true,
 		FailureDir: dir,
 	}
@@ -149,20 +149,19 @@ func TestMutationSelfTest(t *testing.T) {
 	}
 }
 
-// TestStrategyDivergenceCaught checks the cross-strategy oracle: a
-// static function that answers differently per strategy must be
+// TestStrategyDivergenceCaught checks the cross-algorithm oracle: a
+// static function that answers differently per algorithm must be
 // flagged.
 func TestStrategyDivergenceCaught(t *testing.T) {
-	base := EngineStatic()
-	// The second strategy's answer gains a bogus self-pair on label 0,
+	// The second algorithm's answer gains a bogus self-pair on label 0,
 	// so it over-approximates (no soundness violation) yet differs
-	// bitwise from the first strategy.
-	skew := func(p *syntax.Program, strategy string) (*intset.PairSet, error) {
-		m, err := base(p, strategy)
+	// bitwise from the reference.
+	skew := func(p *syntax.Program, alg constraints.Algorithm) (*intset.PairSet, error) {
+		m, err := PipelineStatic(p, alg)
 		if err != nil {
 			return nil, err
 		}
-		if strategy == engine.Strategies()[1] {
+		if alg == constraints.Algorithms()[1] {
 			m = m.Clone()
 			m.Add(0, 0)
 		}
@@ -179,7 +178,7 @@ func TestStrategyDivergenceCaught(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("divergent strategies not flagged; violations: %v", rep.Violations)
+		t.Fatalf("divergent algorithms not flagged; violations: %v", rep.Violations)
 	}
 }
 
@@ -253,9 +252,9 @@ func TestFailureCorpusReplays(t *testing.T) {
 // full-calculus programs (loops, recursion-free call chains) where the
 // Finite-config sweep of TestSweepClean cannot reach: every seeded
 // single-method mutation must re-analyze identically under every
-// strategy and both modes.
+// algorithm and both modes.
 func TestIncrementalOracleFullCalculus(t *testing.T) {
-	cfg := Config{Strategies: engine.Strategies()}.withDefaults()
+	cfg := Config{}.withDefaults()
 	for seed := int64(200); seed < 220; seed++ {
 		p := normalize(progen.Generate(seed, progen.Default()))
 		for _, v := range checkIncremental(cfg, p, seed) {

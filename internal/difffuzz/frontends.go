@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"fx10/internal/condensed"
 	"fx10/internal/constraints"
-	"fx10/internal/engine"
 	"fx10/internal/frontend"
 	"fx10/internal/gofront"
 	"fx10/internal/intset"
@@ -30,8 +28,8 @@ const KindFrontendDivergence Kind = "frontend-divergence"
 // CheckFrontends is the cross-front-end oracle: convert a generated
 // program to condensed form, render it both as X10-subset source
 // (x10.Render) and as restricted-Go source (gofront.Render), lower
-// both through the front-end registry, and assert that every solver
-// strategy produces bit-identical report JSON for the two. The
+// both through the front-end registry, and assert that every solving
+// algorithm produces bit-identical report JSON for the two. The
 // goroutine runtime observer then executes the Go-lowered program and
 // its observed pairs must be contained in the static relation
 // (observed ⊆ static on real-Go-derived programs).
@@ -39,9 +37,9 @@ const KindFrontendDivergence Kind = "frontend-divergence"
 // Clocked programs are skipped — clock barriers have no rendering in
 // the Go subset — as are place-switching asyncs (progen never
 // generates places).
-func CheckFrontends(p *syntax.Program, seed int64, strategies []string) (vs []*Violation) {
-	if len(strategies) == 0 {
-		strategies = engine.Strategies()
+func CheckFrontends(p *syntax.Program, seed int64, algs []constraints.Algorithm) (vs []*Violation) {
+	if len(algs) == 0 {
+		algs = constraints.Algorithms()
 	}
 	fail := func(kind Kind, format string, args ...any) {
 		vs = append(vs, &Violation{Kind: kind, Seed: seed, Detail: fmt.Sprintf(format, args...), Program: p})
@@ -79,22 +77,22 @@ func CheckFrontends(p *syntax.Program, seed int64, strategies []string) (vs []*V
 	}
 
 	var gM *intset.PairSet
-	for _, s := range strategies {
-		xrep, _, err := frontendReport(xprog, s)
+	for _, alg := range algs {
+		xrep, _, err := frontendReport(xprog, alg)
 		if err != nil {
-			fail(KindError, "front-end oracle x10 analysis (%s): %v", s, err)
+			fail(KindError, "front-end oracle x10 analysis (%v): %v", alg, err)
 			return vs
 		}
-		grep, m, err := frontendReport(gprog, s)
+		grep, m, err := frontendReport(gprog, alg)
 		if err != nil {
-			fail(KindError, "front-end oracle go analysis (%s): %v", s, err)
+			fail(KindError, "front-end oracle go analysis (%v): %v", alg, err)
 			return vs
 		}
 		gM = m
 		if !bytes.Equal(xrep, grep) {
 			fail(KindFrontendDivergence,
-				"strategy %q: x10-rendered report (%d bytes) != go-rendered report (%d bytes), first diff at byte %d",
-				s, len(xrep), len(grep), firstByteDiff(xrep, grep))
+				"algorithm %v: x10-rendered report (%d bytes) != go-rendered report (%d bytes), first diff at byte %d",
+				alg, len(xrep), len(grep), firstByteDiff(xrep, grep))
 		}
 	}
 
@@ -133,31 +131,9 @@ func frontendProgram(lang, src string) (*syntax.Program, error) {
 	return condensed.Lower(u)
 }
 
-// Front-end oracle engines: one cache-free engine per strategy,
-// shared across programs (mirrors EngineStatic, but keeps the full
-// result so report bytes can be compared).
-var (
-	feMu      sync.Mutex
-	feEngines = map[string]*engine.Engine{}
-)
-
-func frontendReport(p *syntax.Program, strategy string) ([]byte, *intset.PairSet, error) {
-	feMu.Lock()
-	e := feEngines[strategy]
-	if e == nil {
-		var err error
-		e, err = engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
-		if err != nil {
-			feMu.Unlock()
-			return nil, nil, err
-		}
-		feEngines[strategy] = e
-	}
-	feMu.Unlock()
-	res, err := e.Analyze(engine.Job{Name: "difffuzz-frontend", Program: p, Mode: constraints.ContextSensitive})
-	if err != nil {
-		return nil, nil, err
-	}
+// frontendReport renders p's context-sensitive report under alg.
+func frontendReport(p *syntax.Program, alg constraints.Algorithm) ([]byte, *intset.PairSet, error) {
+	res := analyze(p, constraints.ContextSensitive, alg)
 	rep, err := json.Marshal(mhp.FromEngine(res).Report())
 	if err != nil {
 		return nil, nil, err

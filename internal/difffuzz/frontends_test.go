@@ -10,7 +10,7 @@ import (
 // TestCrossFrontendOracle is acceptance criterion 3 of the front-end
 // boundary: ≥ 200 generated programs, rendered both as X10 and as Go
 // and lowered through both front ends, must yield bit-identical MHP
-// reports under every registered solver strategy, and the runtime
+// reports under every solving algorithm, and the runtime
 // observer must stay within the static relation on the Go-lowered
 // programs.
 func TestCrossFrontendOracle(t *testing.T) {

@@ -8,13 +8,9 @@ import (
 	"fx10/internal/syntax"
 )
 
-// deltaStrategies are the built-in strategies every incremental result
-// is checked under.
-var deltaStrategies = []string{"phased", "monolithic", "worklist", "topo", "ptopo"}
-
 // TestAnalyzeDeltaEquivalenceCorpus is the acceptance sweep for the
 // incremental pipeline: 200 seeded (program, single-method edit)
-// pairs, each analyzed under all four strategies, with AnalyzeDelta
+// pairs, each analyzed under all four algorithms, with AnalyzeDelta
 // required to match a from-scratch analysis bit for bit — valuation,
 // M, and Env. Context-sensitive throughout (the summary-bearing mode);
 // TestAnalyzeDeltaContextInsensitive covers CI.
@@ -30,15 +26,15 @@ func TestAnalyzeDeltaEquivalenceCorpus(t *testing.T) {
 			mi := (int(seed) + k) % len(p.Methods)
 			edited := progen.MutateMethod(p, mi, seed*4+int64(k))
 			pairs++
-			for _, strat := range deltaStrategies {
-				e := MustNew(Config{Strategy: strat, CacheSize: -1})
+			for _, alg := range constraints.Algorithms() {
+				e := algorithmEngine(alg)
 				base, err := e.Analyze(Job{Program: p, Mode: constraints.ContextSensitive})
 				if err != nil {
 					t.Fatal(err)
 				}
 				delta, err := e.AnalyzeDelta(base, edited)
 				if err != nil {
-					t.Fatalf("seed %d edit %d (%s): %v", seed, k, strat, err)
+					t.Fatalf("seed %d edit %d (%s): %v", seed, k, alg, err)
 				}
 				scratch, err := e.Analyze(Job{Program: edited, Mode: constraints.ContextSensitive})
 				if err != nil {
@@ -46,24 +42,24 @@ func TestAnalyzeDeltaEquivalenceCorpus(t *testing.T) {
 				}
 				if !delta.Sol.ValuationEqual(scratch.Sol) {
 					t.Fatalf("seed %d edit %d (%s): delta valuation differs from scratch\n%s",
-						seed, k, strat, syntax.Print(edited))
+						seed, k, alg, syntax.Print(edited))
 				}
 				if !delta.M.Equal(scratch.M) {
-					t.Fatalf("seed %d edit %d (%s): delta M differs from scratch", seed, k, strat)
+					t.Fatalf("seed %d edit %d (%s): delta M differs from scratch", seed, k, alg)
 				}
 				if !delta.Env.Equal(scratch.Env) {
-					t.Fatalf("seed %d edit %d (%s): delta Env differs from scratch", seed, k, strat)
+					t.Fatalf("seed %d edit %d (%s): delta Env differs from scratch", seed, k, alg)
 				}
 				ds := delta.Stats.Delta
 				if ds == nil {
-					t.Fatalf("seed %d edit %d (%s): no DeltaStats", seed, k, strat)
+					t.Fatalf("seed %d edit %d (%s): no DeltaStats", seed, k, alg)
 				}
 				if ds.MethodsTotal != len(edited.Methods) ||
 					ds.MethodsReused+ds.MethodsResolved != ds.MethodsTotal {
-					t.Fatalf("seed %d edit %d (%s): inconsistent DeltaStats %+v", seed, k, strat, *ds)
+					t.Fatalf("seed %d edit %d (%s): inconsistent DeltaStats %+v", seed, k, alg, *ds)
 				}
 				if !ds.Full && len(ds.DirtyMethods) == 0 {
-					t.Fatalf("seed %d edit %d (%s): edit produced no dirty methods", seed, k, strat)
+					t.Fatalf("seed %d edit %d (%s): edit produced no dirty methods", seed, k, alg)
 				}
 			}
 		}

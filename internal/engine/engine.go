@@ -6,8 +6,8 @@
 // behind a single reusable Engine that adds what the bare
 // labels/constraints packages do not have —
 //
-//   - named, pluggable solver strategies (Strategy + registry)
-//     replacing the mutually-exclusive bools of constraints.Options;
+//   - named, pluggable solver strategies (Strategy + registry): the
+//     production topo solver and the paper's phased reference;
 //   - corpus-level analysis on a bounded worker pool with per-program
 //     panic isolation, so one bad program cannot kill a sweep;
 //   - a two-tier cache: a program tier (content-hash-keyed LRU over
@@ -24,8 +24,8 @@
 //   - per-stage metrics (Stats) for every result.
 //
 // internal/mhp.Analyze, internal/experiments and cmd/mhpbench all run
-// through this package; it is the seam later scaling work (sharding,
-// batching, multi-backend) builds on.
+// through this package; it is the seam the analysis service
+// (internal/server) builds on.
 package engine
 
 import (
@@ -46,7 +46,7 @@ import (
 )
 
 // Config configures an Engine. The zero value is a usable default:
-// phased strategy, GOMAXPROCS workers, a 128-entry cache.
+// topo strategy, GOMAXPROCS workers, a 128-entry cache.
 type Config struct {
 	// Strategy names a registered solver strategy; empty selects
 	// DefaultStrategy.
@@ -54,11 +54,6 @@ type Config struct {
 	// Workers bounds corpus-level concurrency; ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// SolverWorkers bounds the solver-internal pool of a
-	// WorkerTunable strategy (ptopo); ≤ 0 keeps the strategy's own
-	// default (GOMAXPROCS), and it is ignored by the sequential
-	// strategies. Worker count never affects results.
-	SolverWorkers int
 	// CacheSize bounds the program-tier result cache in entries. 0
 	// selects the default (128); negative disables caching entirely
 	// — both tiers — (every request re-solves — what
@@ -116,11 +111,11 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.SolverWorkers > 0 {
-		if wt, ok := strat.(WorkerTunable); ok {
-			strat = wt.WithWorkers(cfg.SolverWorkers)
-		}
-	}
+	return newEngine(cfg, strat)
+}
+
+// newEngine builds an Engine around an already resolved strategy.
+func newEngine(cfg Config, strat Strategy) (*Engine, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -335,7 +330,6 @@ func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constr
 	stats.Evaluations = sol.Evaluations
 	stats.AllocBytes = sol.AllocBytes
 	stats.FootprintBytes = sol.FootprintBytes
-	stats.Shard = sol.Shard
 
 	e.storeSummaries(p, sol, mode)
 	return pipelineCore{program: p, info: info, sys: sys, sol: sol}, stats, nil

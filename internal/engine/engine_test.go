@@ -11,26 +11,33 @@ import (
 	"fx10/internal/syntax"
 )
 
+// TestRegistryBuiltins: the registry holds the production topo
+// solver (the default) and the phased paper reference; the two
+// oracles stay out of it.
 func TestRegistryBuiltins(t *testing.T) {
-	got := strings.Join(Strategies(), " ")
-	for _, name := range []string{"phased", "monolithic", "worklist", "topo", "ptopo"} {
-		if !strings.Contains(got, name) {
-			t.Errorf("registry missing %q (have %s)", name, got)
-		}
-		if _, err := Lookup(name); err != nil {
+	for _, name := range []string{"phased", "topo"} {
+		s, err := Lookup(name)
+		if err != nil {
 			t.Errorf("Lookup(%q): %v", name, err)
+		} else if s.Name() != name {
+			t.Errorf("Lookup(%q) resolved to %q", name, s.Name())
 		}
 	}
-	if _, err := Lookup(""); err != nil {
-		t.Errorf("empty name should resolve to default: %v", err)
+	for _, name := range []string{"monolithic", "worklist", "ptopo", "shard"} {
+		if _, err := Lookup(name); err == nil {
+			t.Errorf("Lookup(%q) succeeded; only phased and topo are registered", name)
+		}
+	}
+	if s, err := Lookup(""); err != nil || s.Name() != DefaultStrategy || DefaultStrategy != "topo" {
+		t.Errorf("empty name should resolve to topo: %v, %v", s, err)
 	}
 	if _, err := Lookup("no-such-solver"); err == nil {
 		t.Error("Lookup of unknown strategy succeeded")
 	}
-	if err := Register(FromOptions("phased", constraints.Options{})); err == nil {
+	if err := Register(algorithmStrategy{constraints.Phased}); err == nil {
 		t.Error("duplicate Register succeeded")
 	}
-	if err := Register(FromOptions("", constraints.Options{})); err == nil {
+	if err := Register(panicStrategy{name: ""}); err == nil {
 		t.Error("empty-name Register succeeded")
 	}
 }
@@ -50,14 +57,14 @@ func TestAnalyzeMatchesDirectPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := constraints.Generate(res.Info, constraints.ContextSensitive).Solve(constraints.Options{})
+	direct := constraints.Generate(res.Info, constraints.ContextSensitive).Solve(constraints.Topo)
 	if !res.M.Equal(direct.MainM()) {
 		t.Error("engine M differs from direct pipeline M")
 	}
-	if res.Stats.Strategy != "phased" || res.Stats.CacheHit {
+	if res.Stats.Strategy != "topo" || res.Stats.CacheHit {
 		t.Errorf("unexpected stats: %+v", res.Stats)
 	}
-	if res.Stats.IterL1 == 0 || res.Stats.IterL2 == 0 || res.Stats.IterSlabels == 0 {
+	if res.Stats.Evaluations == 0 || res.Stats.IterSlabels == 0 {
 		t.Errorf("missing solver counters: %+v", res.Stats)
 	}
 	if res.Stats.PipelineDuration() <= 0 {
@@ -142,12 +149,12 @@ func TestCacheKeying(t *testing.T) {
 		t.Error("modes produced equal M on the context-sensitivity example; keying test is vacuous")
 	}
 
-	wl := MustNew(Config{Strategy: "worklist", CacheSize: 8})
-	wr, err := wl.Analyze(Job{Program: p})
+	ph := MustNew(Config{Strategy: "phased", CacheSize: 8})
+	wr, err := ph.Analyze(Job{Program: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wr.Stats.CacheHit || wr.Stats.Strategy != "worklist" {
+	if wr.Stats.CacheHit || wr.Stats.Strategy != "phased" {
 		t.Errorf("fresh engine reported stats %+v", wr.Stats)
 	}
 }
@@ -210,16 +217,16 @@ func TestAnalyzeParsesSource(t *testing.T) {
 
 // panicStrategy panics on every solve — a stand-in for a malformed
 // program tripping an invariant deep in the pipeline.
-type panicStrategy struct{}
+type panicStrategy struct{ name string }
 
-func (panicStrategy) Name() string { return "test-panic" }
+func (s panicStrategy) Name() string { return s.name }
 func (panicStrategy) Solve(*constraints.System) *constraints.Solution {
 	panic("solver invariant violated")
 }
 
 // TestCorpusPanicIsolation: one bad program must not kill the sweep.
 func TestCorpusPanicIsolation(t *testing.T) {
-	MustRegister(panicStrategy{})
+	MustRegister(panicStrategy{name: "test-panic"})
 	eng := MustNew(Config{Strategy: "test-panic", Workers: 4})
 	jobs := []Job{
 		{Name: "p1", Program: fixtures.Example21()},

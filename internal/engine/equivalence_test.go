@@ -12,11 +12,12 @@ import (
 
 // TestStrategyEquivalenceProgenCorpus is the executable form of the
 // paper's Theorems 5–6: the constraint system has a unique least
-// solution, so every solving strategy — phased (the Section 5.3
-// three-phase optimization), monolithic (the unoptimized joint
-// fixpoint), worklist (change-driven re-evaluation) and topo
-// (SCC-condensed topological propagation) — must assign bit-identical
-// values to every set and pair variable. It sweeps a seeded progen
+// solution, so every solving algorithm — phased (the Section 5.3
+// three-phase optimization, the reference), topo (SCC-condensed
+// topological propagation, the production solver), and the two
+// oracles monolithic (the unoptimized joint fixpoint) and worklist
+// (change-driven re-evaluation) — must assign bit-identical values to
+// every set and pair variable. It sweeps a seeded progen
 // corpus of 50 programs (25 full-calculus, 25 loop-free) in both
 // analysis modes.
 func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
@@ -28,18 +29,10 @@ func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
 		programs = append(programs, progen.Generate(seed, progen.Finite()))
 	}
 
-	// The five built-in strategies, resolved through the registry so
-	// the test exercises the same lookup path engine callers use.
-	// (Strategies() is not swept wholesale: other tests register
-	// throwaway strategies in the shared registry.)
-	names := []string{"phased", "monolithic", "worklist", "topo", "ptopo", "shard"}
-	strategies := make([]Strategy, len(names))
-	for i, name := range names {
-		s, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strategies[i] = s
+	algs := constraints.Algorithms()
+	strategies := make([]Strategy, len(algs))
+	for i, alg := range algs {
+		strategies[i] = algorithmStrategy{alg}
 	}
 
 	modes := []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive}
@@ -53,7 +46,7 @@ func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
 				sol := strat.Solve(sys)
 				if !base.ValuationEqual(sol) {
 					t.Fatalf("program %d (%v): %s valuation differs from %s\nprogram:\n%s",
-						pi, mode, strat.Name(), names[0], syntax.Print(p))
+						pi, mode, strat.Name(), strategies[0].Name(), syntax.Print(p))
 				}
 				checked++
 			}
@@ -70,8 +63,9 @@ func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
 }
 
 // TestStrategyEquivalenceViaEngines runs the same check through full
-// engines (cache off), covering the registry→engine→pipeline path and
-// the derived views rather than raw valuations.
+// engines (cache off), covering the engine→pipeline path and the
+// derived views rather than raw valuations: the registered topo
+// strategy and both oracles against the registered phased reference.
 func TestStrategyEquivalenceViaEngines(t *testing.T) {
 	var jobs []Job
 	for seed := int64(200); seed < 210; seed++ {
@@ -81,15 +75,25 @@ func TestStrategyEquivalenceViaEngines(t *testing.T) {
 		})
 	}
 	base := MustNew(Config{Strategy: "phased", CacheSize: -1}).AnalyzeCorpus(jobs)
-	for _, name := range []string{"monolithic", "worklist", "topo", "ptopo", "shard"} {
-		got := MustNew(Config{Strategy: name, CacheSize: -1}).AnalyzeCorpus(jobs)
+	for _, alg := range constraints.Algorithms()[1:] {
+		got := algorithmEngine(alg).AnalyzeCorpus(jobs)
 		for i := range jobs {
 			if base[i].Err != nil || got[i].Err != nil {
-				t.Fatalf("%s/%s: %v / %v", jobs[i].Name, name, base[i].Err, got[i].Err)
+				t.Fatalf("%s/%v: %v / %v", jobs[i].Name, alg, base[i].Err, got[i].Err)
 			}
 			if !base[i].Result.M.Equal(got[i].Result.M) {
-				t.Errorf("%s: %s M differs from phased", jobs[i].Name, name)
+				t.Errorf("%s: %v M differs from phased", jobs[i].Name, alg)
 			}
 		}
 	}
+}
+
+// algorithmEngine builds a cache-free engine around any constraints
+// algorithm, including the oracles the registry does not expose.
+func algorithmEngine(alg constraints.Algorithm) *Engine {
+	e, err := newEngine(Config{CacheSize: -1}, algorithmStrategy{alg})
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

@@ -31,10 +31,13 @@ import (
 	"fx10/internal/workloads"
 )
 
-// figEngine runs every figure pipeline. Caching is off: each row's
-// time column must be a real measurement, not a cache lookup (the
-// corpus runner builds its own engines the same way).
-var figEngine = engine.MustNew(engine.Config{CacheSize: -1})
+// figEngine runs every figure pipeline. It is pinned to the phased
+// reference solver: Figures 8 and 9 compare its level-1 and level-2
+// pass counts against the paper's iteration columns, and the
+// production topo solver counts evaluations, not passes. Caching is
+// off: each row's time column must be a real measurement, not a cache
+// lookup (the corpus runner builds its own engines the same way).
+var figEngine = engine.MustNew(engine.Config{Strategy: "phased", CacheSize: -1})
 
 // Figure5 renders the generated constraint system for the Section 2.1
 // example program, the reproduction of the paper's Figure 5.

@@ -16,13 +16,10 @@ import (
 
 // The solver bench is the head-to-head comparison of the registered
 // solving strategies on the paper's 13-benchmark corpus: same
-// generated constraint system, four ways to reach the unique least
-// solution. It backs the README's performance table and is written as
-// BENCH_solver.json so perf regressions are diffable across commits.
-
-// SolverBenchStrategies are the strategies the bench sweeps, in
-// presentation order.
-var SolverBenchStrategies = []string{"phased", "monolithic", "worklist", "topo"}
+// generated constraint system, the production topo solver against the
+// phased paper reference. It backs the README's performance table and
+// is written as BENCH_solver.json so perf regressions are diffable
+// across commits.
 
 // SolverBenchRow is one (benchmark, strategy) measurement.
 type SolverBenchRow struct {
@@ -68,7 +65,7 @@ func RunSolverBench(reps int) (SolverBench, error) {
 	}
 	for _, wl := range workloads.All() {
 		sys := constraints.Generate(labels.Compute(wl.Program()), constraints.ContextSensitive)
-		for _, name := range SolverBenchStrategies {
+		for _, name := range engine.Strategies() {
 			strat, err := engine.Lookup(name)
 			if err != nil {
 				return bench, err
@@ -143,7 +140,7 @@ func FormatSolverBench(bench SolverBench) string {
 			fmt.Sprint(r.BytesPerOp))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s %s/%s, best of %d reps; evals for worklist/topo, passes for phased/monolithic)\n",
+	fmt.Fprintf(&b, "(%s %s/%s, best of %d reps; evals for topo, passes for phased)\n",
 		bench.Go, bench.GOOS, bench.GOARCH, bench.Reps)
 	return b.String()
 }

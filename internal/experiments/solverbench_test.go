@@ -5,44 +5,46 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fx10/internal/constraints"
+	"fx10/internal/labels"
+	"fx10/internal/workloads"
 )
 
-// TestRunSolverBench checks the sweep's shape and its two structural
-// guarantees: every (benchmark, strategy) cell is present, and the
-// topo solver never evaluates more constraints than the worklist
-// solver on the same benchmark (each constraint is evaluated at most
-// once after SCC condensation).
+// TestRunSolverBench checks the sweep's shape and its structural
+// guarantees: exactly one cell per (benchmark, registered strategy),
+// pass counts for phased and evaluations for topo, and the topo
+// solver never evaluates a constraint more than once after SCC
+// condensation, so its count stays within the constraint count.
 func TestRunSolverBench(t *testing.T) {
 	bench, err := RunSolverBench(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(bench.Rows), 13*len(SolverBenchStrategies); got != want {
+	if got, want := len(bench.Rows), 13*2; got != want {
 		t.Fatalf("got %d rows, want %d", got, want)
 	}
-	evals := map[[2]string]int64{}
 	for _, r := range bench.Rows {
 		if r.NsPerOp <= 0 {
 			t.Errorf("%s/%s: non-positive ns/op %d", r.Benchmark, r.Strategy, r.NsPerOp)
 		}
 		switch r.Strategy {
-		case "phased", "monolithic":
+		case "phased":
 			if r.Passes == 0 {
 				t.Errorf("%s/%s: pass-based strategy reports 0 passes", r.Benchmark, r.Strategy)
 			}
-		case "worklist", "topo":
-			if r.Evaluations == 0 {
-				t.Errorf("%s/%s: evaluation-counting strategy reports 0 evaluations", r.Benchmark, r.Strategy)
+		case "topo":
+			wl, err := workloads.Get(r.Benchmark)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		evals[[2]string{r.Benchmark, r.Strategy}] = r.Evaluations
-	}
-	for k, topo := range evals {
-		if k[1] != "topo" {
-			continue
-		}
-		if wl := evals[[2]string{k[0], "worklist"}]; topo > wl {
-			t.Errorf("%s: topo evaluations %d > worklist %d", k[0], topo, wl)
+			sys := constraints.Generate(labels.Compute(wl.Program()), constraints.ContextSensitive)
+			_, l1, l2 := sys.Counts()
+			if r.Evaluations == 0 || r.Evaluations > int64(l1+l2) {
+				t.Errorf("%s/topo: %d evaluations, want 1..%d (each constraint at most once)", r.Benchmark, r.Evaluations, l1+l2)
+			}
+		default:
+			t.Errorf("%s: unregistered strategy %q in the sweep", r.Benchmark, r.Strategy)
 		}
 	}
 

@@ -7,7 +7,7 @@
 // shared between processes (sumstore.OpenShared), routing is purely a
 // cache-locality optimization: ANY replica can serve ANY request
 // correctly, so failover never changes a response byte. See DESIGN.md
-// §13 for the routing invariants.
+// §12 for the routing invariants.
 package fleet
 
 import (

@@ -309,7 +309,7 @@ func TestReportJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if decoded.Constraints.Slabels == 0 || decoded.Iterations.Level1 == 0 {
+	if decoded.Constraints.Slabels == 0 || decoded.Constraints.Level1 == 0 {
 		t.Fatalf("decoded metrics empty: %+v", decoded)
 	}
 }

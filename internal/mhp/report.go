@@ -20,14 +20,15 @@ import (
 // declaration order, and race candidates are sorted by (L1, L2,
 // index). Byte-for-byte stability across runs and solver strategies
 // is a contract — golden-file tests and the server's response cache
-// both rely on it.
+// both rely on it — so the report carries no solver work counters
+// (pass counts, evaluations); those differ by strategy and stay in
+// engine.Stats.
 type Report struct {
 	ProgramHash string       `json:"programHash"`
 	Mode        string       `json:"mode"`
 	Methods     int          `json:"methods"`
 	Labels      int          `json:"labels"`
 	Constraints Constraints  `json:"constraints"`
-	Iterations  Iterations   `json:"iterations"`
 	Pairs       []LabelPair  `json:"mhpPairs"`
 	AsyncPairs  []AsyncPairJ `json:"asyncBodyPairs"`
 	PairCounts  PairCounts   `json:"asyncBodyPairCounts"`
@@ -58,13 +59,6 @@ type LabelPhaseJ struct {
 
 // Constraints reports the Figure 6 constraint counts.
 type Constraints struct {
-	Slabels int `json:"slabels"`
-	Level1  int `json:"level1"`
-	Level2  int `json:"level2"`
-}
-
-// Iterations reports the solver pass counts.
-type Iterations struct {
 	Slabels int `json:"slabels"`
 	Level1  int `json:"level1"`
 	Level2  int `json:"level2"`
@@ -109,11 +103,6 @@ func (r *Result) Report() Report {
 		Mode:        r.Sys.Mode.String(),
 		Methods:     len(p.Methods),
 		Labels:      p.NumLabels(),
-		Iterations: Iterations{
-			Slabels: r.Sol.IterSlabels,
-			Level1:  r.Sol.IterL1,
-			Level2:  r.Sol.IterL2,
-		},
 	}
 	rep.Constraints.Slabels, rep.Constraints.Level1, rep.Constraints.Level2 = r.Sys.Counts()
 

@@ -2,7 +2,6 @@ package mhp
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,16 +9,17 @@ import (
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/parser"
+	"fx10/internal/workloads"
 )
 
 // The JSON report must be byte-stable: identical across repeated runs
 // of the same analysis (the committed golden files pin the exact
-// bytes), and identical across solver strategies once the
-// strategy-specific iteration counters are masked out (Theorems 5–6:
-// every strategy computes the same least solution). The clocked
-// program additionally pins the phase section and the pruned-pair
-// count, which are reconstructed post hoc from the least solution and
-// so must not vary by strategy either.
+// bytes), and identical across solver strategies (Theorems 5–6: every
+// strategy computes the same least solution, and the report carries
+// no strategy-specific work counters). The clocked program
+// additionally pins the phase section and the pruned-pair count,
+// which are reconstructed post hoc from the least solution and so
+// must not vary by strategy either.
 func TestReportJSONGolden(t *testing.T) {
 	cases := []struct {
 		name, source, golden string
@@ -78,25 +78,11 @@ func TestReportJSONGolden(t *testing.T) {
 				t.Errorf("report JSON drifted from golden file %s:\n got: %s\nwant: %s", golden, first, want)
 			}
 
-			// Cross-strategy: only the iteration counters may differ.
-			maskIters := func(strategy string) Report {
-				e, err := engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Analyze(engine.Job{Name: tc.name, Program: p, Mode: constraints.ContextSensitive})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := FromEngine(res).Report()
-				rep.Iterations = Iterations{}
-				return rep
-			}
-			base := jsonMarshal(t, maskIters(""))
+			// Cross-strategy: every registered strategy renders the
+			// same bytes.
 			for _, strategy := range engine.Strategies() {
-				got := jsonMarshal(t, maskIters(strategy))
-				if !bytes.Equal(base, got) {
-					t.Errorf("strategy %s: masked report differs:\n got: %s\nwant: %s", strategy, got, base)
+				if got := render(strategy); !bytes.Equal(first, got) {
+					t.Errorf("strategy %s: report differs:\n got: %s\nwant: %s", strategy, got, first)
 				}
 			}
 		})
@@ -140,11 +126,32 @@ func TestReportClocksSection(t *testing.T) {
 	}
 }
 
-func jsonMarshal(t *testing.T, rep Report) []byte {
-	t.Helper()
-	out, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
+// TestReportStrategyIdentityPaperWorkloads: on the paper's 13
+// workloads in both analysis modes, the production topo strategy
+// renders exactly the bytes of the phased reference.
+func TestReportStrategyIdentityPaperWorkloads(t *testing.T) {
+	engines := map[string]*engine.Engine{}
+	for _, name := range []string{"phased", "topo"} {
+		engines[name] = engine.MustNew(engine.Config{Strategy: name, CacheSize: -1})
 	}
-	return out
+	for _, wl := range workloads.All() {
+		p := wl.Program()
+		for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
+			render := func(strategy string) []byte {
+				res, err := engines[strategy].Analyze(engine.Job{Name: wl.Name, Program: p, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := FromEngine(res).WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			if phased, topo := render("phased"), render("topo"); !bytes.Equal(phased, topo) {
+				t.Errorf("%s (%v): topo report (%d bytes) differs from phased (%d bytes)",
+					wl.Name, mode, len(topo), len(phased))
+			}
+		}
+	}
 }

@@ -149,7 +149,6 @@ func (s *Server) solveOne(ctx context.Context, key flightKey, p *syntax.Program,
 			d := time.Since(t0)
 			s.metrics.solveLatency.Observe(d)
 			s.observeSolve(d)
-			s.metrics.observeShard(r.Stats.Shard)
 		}
 		return r, err
 	})

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/sumstore"
 )
@@ -45,14 +44,6 @@ type Metrics struct {
 	queueWait    *Histogram // time from admission to worker slot
 	solveLatency *Histogram // engine time per non-coalesced solve
 	reqLatency   *Histogram // end-to-end handler time, all endpoints
-
-	// Sharded-solve section ("shard"), fed only by solves the shard
-	// strategy performed; all-zero under every other strategy.
-	shardSolves   *expvar.Int // solves that ran sharded
-	shardRoundsL1 *expvar.Int // cumulative level-1 merge rounds
-	shardRoundsL2 *expvar.Int // cumulative level-2 merge rounds
-	shardLast     *expvar.Int // shard count of the most recent sharded solve
-	shardSolveLat *Histogram  // per-shard solve time (summed shard ns / shards) per solve
 }
 
 // newMetrics builds the registry. cacheStats feeds the "cache"
@@ -75,11 +66,6 @@ func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore
 		queueWait:     NewHistogram(),
 		solveLatency:  NewHistogram(),
 		reqLatency:    NewHistogram(),
-		shardSolves:   new(expvar.Int),
-		shardRoundsL1: new(expvar.Int),
-		shardRoundsL2: new(expvar.Int),
-		shardLast:     new(expvar.Int),
-		shardSolveLat: NewHistogram(),
 	}
 	start := time.Now()
 	m.vars.Set("requests", m.requests)
@@ -116,13 +102,6 @@ func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore
 			"summarySkipped": cs.SummarySkipped,
 		}
 	}))
-	shardMap := new(expvar.Map).Init()
-	shardMap.Set("solves", m.shardSolves)
-	shardMap.Set("mergeRoundsL1", m.shardRoundsL1)
-	shardMap.Set("mergeRoundsL2", m.shardRoundsL2)
-	shardMap.Set("lastShards", m.shardLast)
-	shardMap.Set("perShardSolveMs", m.shardSolveLat)
-	m.vars.Set("shard", shardMap)
 	m.vars.Set("summaryStore", expvar.Func(func() any {
 		ss, enabled := storeStats()
 		if !enabled {
@@ -148,21 +127,6 @@ func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore
 		}
 	}))
 	return m
-}
-
-// observeShard folds one sharded solve's structure into the "shard"
-// section; a nil st (any non-shard strategy) is a no-op.
-func (m *Metrics) observeShard(st *constraints.ShardStats) {
-	if st == nil {
-		return
-	}
-	m.shardSolves.Add(1)
-	m.shardRoundsL1.Add(int64(st.MergeRoundsL1))
-	m.shardRoundsL2.Add(int64(st.MergeRoundsL2))
-	m.shardLast.Set(int64(st.Shards))
-	if st.Shards > 0 {
-		m.shardSolveLat.Observe(time.Duration(st.ShardSolveNs / int64(st.Shards)))
-	}
 }
 
 func rate(hits, misses uint64) float64 {

@@ -63,10 +63,6 @@ type Config struct {
 	QueueDepth int
 	// Strategy names the engine solver strategy ("" = default).
 	Strategy string
-	// SolverWorkers bounds the solver-internal pool when Strategy is
-	// parallel (e.g. ptopo); ≤ 0 keeps the strategy default. Distinct
-	// from Workers, which bounds concurrent solves across requests.
-	SolverWorkers int
 	// CacheSize / SummaryCacheSize size the engine's cache tiers
 	// (0 = engine defaults).
 	CacheSize        int
@@ -153,7 +149,6 @@ func New(cfg Config) (*Server, error) {
 	eng, err := engine.New(engine.Config{
 		Strategy:           cfg.Strategy,
 		Workers:            cfg.Workers,
-		SolverWorkers:      cfg.SolverWorkers,
 		CacheSize:          cfg.CacheSize,
 		SummaryCacheSize:   cfg.SummaryCacheSize,
 		SummaryStorePath:   cfg.SummaryStorePath,
@@ -534,7 +529,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	d := time.Since(t0)
 	s.metrics.solveLatency.Observe(d)
 	s.observeSolve(d)
-	s.metrics.observeShard(res.Stats.Shard)
 
 	sess.base = res
 	key := flightKey{hash: p.Hash(), mode: mode}
