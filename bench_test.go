@@ -315,7 +315,8 @@ func BenchmarkEngineCorpus(b *testing.B) {
 
 // BenchmarkEngineCacheHit measures the cache-served path: the cost of
 // re-requesting an already-solved program (content hash + LRU lookup
-// + summary extraction).
+// + extracting M; method summaries are read in place from the shared
+// solution, not copied).
 func BenchmarkEngineCacheHit(b *testing.B) {
 	wl, err := workloads.Get("mg")
 	if err != nil {

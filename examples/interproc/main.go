@@ -47,8 +47,8 @@ func main() {
 	// Method summaries are the modularity mechanism: f is analyzed
 	// once, under R = ∅, and each call site splices in (M_f, O_f).
 	fi, _ := p.MethodIndex("f")
-	fmt.Printf("summary of f: M has %d pairs, O = %v (S5 may outlive the call)\n",
-		cs.Env[fi].M.Len(), cs.Env[fi].O)
+	f := cs.Sol.MethodSummary(fi)
+	fmt.Printf("summary of f: M has %d pairs, O = %v (S5 may outlive the call)\n", f.M.Len(), f.O)
 
 	// Ground truth by exhaustive exploration confirms the
 	// context-sensitive result is exact here.

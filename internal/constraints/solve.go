@@ -3,6 +3,7 @@ package constraints
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"time"
 
@@ -157,13 +158,26 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	sol.Duration = time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	sol.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
-	// Dense sets: words × 8 bytes each (plus header); sparse bags:
-	// estimated per entry.
-	sol.FootprintBytes += len(sol.setVals) * ((n+63)/64*8 + 24)
-	for _, b := range sol.pairVals {
-		sol.FootprintBytes += b.footprintBytes()
-	}
+	sol.FootprintBytes = sol.footprintBytes()
 	return sol
+}
+
+// footprintBytes estimates the memory the valuation retains. Dense
+// sets cost words × 8 bytes each (plus header); sparse bags are
+// estimated per entry. Topo's copy elision and SolveDelta's reuse
+// make several variables share one bag, so each distinct bag counts
+// once.
+func (sol *Solution) footprintBytes() int {
+	n := sol.sys.P.NumLabels()
+	total := len(sol.setVals) * ((n+63)/64*8 + 24)
+	seen := make(map[uintptr]bool, len(sol.pairVals))
+	for _, b := range sol.pairVals {
+		if id := reflect.ValueOf(b).Pointer(); !seen[id] {
+			seen[id] = true
+			total += b.footprintBytes()
+		}
+	}
+	return total
 }
 
 // l1Pass applies every level-1 constraint once (Gauss–Seidel with

@@ -270,10 +270,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	sol.Duration = time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	sol.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
-	sol.FootprintBytes += len(sol.setVals) * ((n+63)/64*8 + 24)
-	for _, b := range sol.pairVals {
-		sol.FootprintBytes += b.footprintBytes()
-	}
+	sol.FootprintBytes = sol.footprintBytes()
 
 	info := DeltaInfo{ConstraintsReevaluated: sol.Evaluations}
 	for mi := range p.Methods {

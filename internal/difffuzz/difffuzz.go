@@ -73,7 +73,7 @@ func analyze(p *syntax.Program, mode constraints.Mode, alg constraints.Algorithm
 	info := labels.Compute(p)
 	sys := constraints.Generate(info, mode)
 	sol := sys.Solve(alg)
-	return &engine.Result{Program: p, Info: info, Sys: sys, Sol: sol, Env: sol.Env(), M: sol.MainM()}
+	return &engine.Result{Program: p, Info: info, Sys: sys, Sol: sol, M: sol.MainM()}
 }
 
 // UnsoundStatic wraps base with a deliberate soundness bug: every

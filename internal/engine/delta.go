@@ -53,19 +53,7 @@ func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *synt
 			MethodsTotal:  len(edited.Methods),
 			MethodsReused: len(edited.Methods),
 		}
-		t0 := time.Now()
-		res := &Result{
-			Program: c.core.program,
-			Info:    c.core.info,
-			Sys:     c.core.sys,
-			Sol:     c.core.sol,
-			Env:     c.core.sol.Env(),
-			M:       c.core.sol.MainM(),
-		}
-		stats.Report = time.Since(t0)
-		stats.Total = time.Since(start)
-		res.Stats = stats
-		return res, nil
+		return c.core.result(stats, start), nil
 	}
 
 	// Diff method content hashes against the base, by name. The hash
@@ -145,19 +133,7 @@ func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *synt
 	e.cachePut(key, cached{core: core, stats: stats})
 	e.storeSummaries(edited, sol, mode)
 
-	t0 = time.Now()
-	res := &Result{
-		Program: core.program,
-		Info:    core.info,
-		Sys:     core.sys,
-		Sol:     core.sol,
-		Env:     core.sol.Env(),
-		M:       core.sol.MainM(),
-	}
-	stats.Report = time.Since(t0)
-	stats.Total = time.Since(start)
-	res.Stats = stats
-	return res, nil
+	return core.result(stats, start), nil
 }
 
 // AnalyzeDeltaSafe is AnalyzeDeltaCtx behind a recover barrier,

@@ -12,7 +12,7 @@ import (
 // incremental pipeline: 200 seeded (program, single-method edit)
 // pairs, each analyzed under all four algorithms, with AnalyzeDelta
 // required to match a from-scratch analysis bit for bit — valuation,
-// M, and Env. Context-sensitive throughout (the summary-bearing mode);
+// M, and E. Context-sensitive throughout (the summary-bearing mode);
 // TestAnalyzeDeltaContextInsensitive covers CI.
 func TestAnalyzeDeltaEquivalenceCorpus(t *testing.T) {
 	pairs := 0
@@ -47,8 +47,8 @@ func TestAnalyzeDeltaEquivalenceCorpus(t *testing.T) {
 				if !delta.M.Equal(scratch.M) {
 					t.Fatalf("seed %d edit %d (%s): delta M differs from scratch", seed, k, alg)
 				}
-				if !delta.Env.Equal(scratch.Env) {
-					t.Fatalf("seed %d edit %d (%s): delta Env differs from scratch", seed, k, alg)
+				if !delta.Sol.Env().Equal(scratch.Sol.Env()) {
+					t.Fatalf("seed %d edit %d (%s): delta E differs from scratch", seed, k, alg)
 				}
 				ds := delta.Stats.Delta
 				if ds == nil {

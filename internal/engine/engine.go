@@ -42,7 +42,6 @@ import (
 	"fx10/internal/parser"
 	"fx10/internal/sumstore"
 	"fx10/internal/syntax"
-	"fx10/internal/types"
 )
 
 // Config configures an Engine. The zero value is a usable default:
@@ -224,13 +223,13 @@ type Result struct {
 	// Program, Info, Sys and Sol are the pipeline's intermediate
 	// products. On a cache hit they are shared with every other
 	// Result served from the same entry — treat them as read-only.
+	// Sol holds the type environment E with ⊢ p : E (Theorem 4):
+	// read a method's summary in place with Sol.PairLen and
+	// Sol.SetValue, or materialize E with Sol.Env().
 	Program *syntax.Program
 	Info    *labels.Info
 	Sys     *constraints.System
 	Sol     *constraints.Solution
-	// Env is the inferred type environment E with ⊢ p : E. It is
-	// freshly extracted per request (the caller owns it).
-	Env types.Env
 	// M is E(main).M: by Theorem 3, MHP(p) ⊆ M. Freshly extracted
 	// per request (the caller owns it).
 	M *intset.PairSet
@@ -285,20 +284,20 @@ func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (*Result, error) {
 		e.cachePut(key, cached{core: core, stats: stats})
 	}
 
-	t0 := time.Now()
-	res := &Result{
-		Program: core.program,
-		Info:    core.info,
-		Sys:     core.sys,
-		Sol:     core.sol,
-		Env:     core.sol.Env(),
-		M:       core.sol.MainM(),
-	}
 	stats.Parse = parseDur
+	return core.result(stats, start), nil
+}
+
+// result is the per-request view of core: M is freshly extracted (the
+// caller owns it), everything else is shared with the cache entry.
+// It completes stats with the extraction time and the request total.
+func (c pipelineCore) result(stats Stats, start time.Time) *Result {
+	t0 := time.Now()
+	res := &Result{Program: c.program, Info: c.info, Sys: c.sys, Sol: c.sol, M: c.sol.MainM()}
 	stats.Report = time.Since(t0)
 	stats.Total = time.Since(start)
 	res.Stats = stats
-	return res, nil
+	return res
 }
 
 // runPipeline executes the expensive stages on a cache miss.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"fx10/internal/parser"
 	"fx10/internal/progen"
 	"fx10/internal/syntax"
+	"fx10/internal/workloads"
 )
 
 // TestRegistryBuiltins: the registry holds the production topo
@@ -97,13 +99,8 @@ func TestCacheHitIdenticalResult(t *testing.T) {
 	if !r1.M.Equal(r2.M) {
 		t.Error("cached M differs")
 	}
-	if len(r1.Env) != len(r2.Env) {
-		t.Fatalf("env sizes differ: %d vs %d", len(r1.Env), len(r2.Env))
-	}
-	for i := range r1.Env {
-		if !r1.Env[i].M.Equal(r2.Env[i].M) || !r1.Env[i].O.Equal(r2.Env[i].O) {
-			t.Errorf("cached summary %d differs", i)
-		}
+	if !r1.Sol.Env().Equal(r2.Sol.Env()) {
+		t.Error("cached type environment differs")
 	}
 	if !r1.Sol.ValuationEqual(r2.Sol) {
 		t.Error("cached valuation differs")
@@ -124,6 +121,37 @@ func TestCacheHitIdenticalResult(t *testing.T) {
 	}
 	if cs := eng.CacheStats(); cs.Hits != 2 || cs.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 2 hits / 1 miss", cs)
+	}
+}
+
+// TestCacheHitAllocation: a cache hit extracts only M. It must not
+// densify the type environment E, one n×n matrix per method: on
+// plasma that would be 152 of them.
+func TestCacheHitAllocation(t *testing.T) {
+	wl, err := workloads.Get("plasma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := MustNew(Config{CacheSize: 4})
+	job := Job{Name: wl.Name, Program: wl.Program()}
+	if _, err := eng.Analyze(job); err != nil {
+		t.Fatal(err)
+	}
+	n := job.Program.NumLabels()
+	dense := uint64(n * ((n + 63) / 64) * 8)
+
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	res, err := eng.Analyze(job)
+	runtime.ReadMemStats(&ms1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.CacheHit {
+		t.Fatal("second analysis missed the cache")
+	}
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got >= 4*dense {
+		t.Errorf("cache hit allocated %d bytes, want < %d (4 dense %d-label pair matrices)", got, 4*dense, n)
 	}
 }
 

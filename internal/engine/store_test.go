@@ -38,7 +38,7 @@ func resultEqual(a, b *Result) bool {
 	if !a.M.Equal(b.M) {
 		return false
 	}
-	return a.Env.Equal(b.Env)
+	return a.Sol.Env().Equal(b.Sol.Env())
 }
 
 // TestStoreDoesNotChangeReports: with the disk tier enabled, disabled,

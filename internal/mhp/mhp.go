@@ -16,19 +16,13 @@ import (
 	"fx10/internal/intset"
 	"fx10/internal/labels"
 	"fx10/internal/syntax"
-	"fx10/internal/types"
 )
 
-// Result is a completed analysis of one program.
+// Result is a completed analysis of one program: the engine's result
+// (its fields, M = E(main).M included, read through the embedding)
+// plus the paper's report API.
 type Result struct {
-	Program *syntax.Program
-	Info    *labels.Info
-	Sys     *constraints.System
-	Sol     *constraints.Solution
-	// Env is the inferred type environment E with ⊢ p : E.
-	Env types.Env
-	// M is E(main).M: by Theorem 3, MHP(p) ⊆ M.
-	M *intset.PairSet
+	*engine.Result
 }
 
 // analyzeEngine serves Analyze. Caching is off: Analyze's contract
@@ -66,15 +60,7 @@ func MustAnalyze(p *syntax.Program, mode constraints.Mode) *Result {
 // and the DeltaStats reports what was reused. The mode is taken from
 // the base result's system.
 func AnalyzeDelta(base *Result, edited *syntax.Program) (*Result, engine.DeltaStats, error) {
-	eres := &engine.Result{
-		Program: base.Program,
-		Info:    base.Info,
-		Sys:     base.Sys,
-		Sol:     base.Sol,
-		Env:     base.Env,
-		M:       base.M,
-	}
-	res, err := analyzeEngine.AnalyzeDelta(eres, edited)
+	res, err := analyzeEngine.AnalyzeDelta(base.Result, edited)
 	if err != nil {
 		return nil, engine.DeltaStats{}, err
 	}
@@ -87,14 +73,7 @@ func AnalyzeDelta(base *Result, edited *syntax.Program) (*Result, engine.DeltaSt
 
 // FromEngine adapts an engine result to the mhp report API.
 func FromEngine(res *engine.Result) *Result {
-	return &Result{
-		Program: res.Program,
-		Info:    res.Info,
-		Sys:     res.Sys,
-		Sol:     res.Sol,
-		Env:     res.Env,
-		M:       res.M,
-	}
+	return &Result{res}
 }
 
 // MayHappenInParallel reports whether the analysis says the

@@ -314,16 +314,6 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
-func TestReportWithoutCachedEnv(t *testing.T) {
-	p := fixtures.Example22()
-	full := MustAnalyze(p, constraints.ContextSensitive)
-	bare := &Result{Program: full.Program, Info: full.Info, Sys: full.Sys, Sol: full.Sol, M: full.M}
-	rep := bare.Report()
-	if len(rep.Summaries) != 2 {
-		t.Fatalf("summaries = %d", len(rep.Summaries))
-	}
-}
-
 // TestAnalyzeDelta: the mhp-level incremental wrapper must match a
 // from-scratch analysis of the edited program and report reuse.
 func TestAnalyzeDelta(t *testing.T) {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/parser"
+	"fx10/internal/syntax"
 	"fx10/internal/workloads"
 )
 
@@ -128,7 +130,9 @@ func TestReportClocksSection(t *testing.T) {
 
 // TestReportStrategyIdentityPaperWorkloads: on the paper's 13
 // workloads in both analysis modes, the production topo strategy
-// renders exactly the bytes of the phased reference.
+// renders exactly the bytes of the phased reference, and every method
+// summary the report reads in place from the solution agrees with the
+// type environment E materialized from it.
 func TestReportStrategyIdentityPaperWorkloads(t *testing.T) {
 	engines := map[string]*engine.Engine{}
 	for _, name := range []string{"phased", "topo"} {
@@ -142,8 +146,10 @@ func TestReportStrategyIdentityPaperWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				r := FromEngine(res)
+				checkSummariesAgainstEnv(t, wl.Name+"/"+strategy, r)
 				var buf bytes.Buffer
-				if err := FromEngine(res).WriteJSON(&buf); err != nil {
+				if err := r.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
 				}
 				return buf.Bytes()
@@ -152,6 +158,27 @@ func TestReportStrategyIdentityPaperWorkloads(t *testing.T) {
 				t.Errorf("%s (%v): topo report (%d bytes) differs from phased (%d bytes)",
 					wl.Name, mode, len(topo), len(phased))
 			}
+		}
+	}
+}
+
+// checkSummariesAgainstEnv: each report summary must carry |Mᵢ| and
+// the label names of Oᵢ from E = r.Sol.Env().
+func checkSummariesAgainstEnv(t *testing.T, what string, r *Result) {
+	t.Helper()
+	env := r.Sol.Env()
+	sums := r.Report().Summaries
+	if len(sums) != len(env) {
+		t.Fatalf("%s: %d method summaries, E has %d methods", what, len(sums), len(env))
+	}
+	for mi, s := range sums {
+		if s.MPairs != env[mi].M.Len() {
+			t.Errorf("%s %s: mPairs = %d, |M| = %d", what, s.Method, s.MPairs, env[mi].M.Len())
+		}
+		var want []string
+		env[mi].O.Each(func(e int) { want = append(want, r.Program.LabelName(syntax.Label(e))) })
+		if !slices.Equal(s.Outlives, want) {
+			t.Errorf("%s %s: outlives = %v, O = %v", what, s.Method, s.Outlives, want)
 		}
 	}
 }
