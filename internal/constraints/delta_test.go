@@ -94,7 +94,7 @@ func TestSystemPartition(t *testing.T) {
 
 // TestSolveDeltaEquivalence: across a seeded corpus of (program,
 // single-method edit) pairs and both modes, with the base solved by
-// each algorithm in turn (topo's base aliases pair bags), SolveDelta
+// each algorithm in turn (topo's base aliases pair sets), SolveDelta
 // must reproduce the from-scratch phased solution bit for bit.
 func TestSolveDeltaEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {

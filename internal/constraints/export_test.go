@@ -1,18 +1,17 @@
 package constraints
 
-import "reflect"
+import "fx10/internal/intset"
 
-// DistinctPairBagBytes is the pair-bag part of a footprint estimate
-// counted by bag identity: each distinct bag once, however many
+// DistinctPairSetBytes is the pair-set part of a footprint estimate
+// counted by identity: each distinct pair set once, however many
 // variables alias it.
-func DistinctPairBagBytes(sol *Solution) int {
-	seen := map[uintptr]bool{}
+func DistinctPairSetBytes(sol *Solution) int {
+	seen := map[*intset.PairSet]bool{}
 	total := 0
-	for _, b := range sol.pairVals {
-		id := reflect.ValueOf(b).Pointer()
-		if !seen[id] {
-			seen[id] = true
-			total += b.footprintBytes()
+	for _, m := range sol.pairVals {
+		if !seen[m] {
+			seen[m] = true
+			total += m.MemoryFootprint()
 		}
 	}
 	return total

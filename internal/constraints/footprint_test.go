@@ -17,10 +17,10 @@ func setBytes(sys *constraints.System, p *syntax.Program) int {
 }
 
 // TestFootprintCountsSharedBagsOnce: topo's copy elision, and
-// SolveDelta's reuse of base bags, let several variables alias one
-// pair bag. The footprint estimate must count each bag once, so on
-// the two largest paper workloads topo's figure is the distinct-bag
-// sum and never exceeds phased's, whose variables own their bags.
+// SolveDelta's reuse of base values, let several variables alias one
+// pair set. The footprint estimate must count each set once, so on
+// the two largest paper workloads topo's figure is the distinct-set
+// sum and never exceeds phased's, whose variables own their sets.
 func TestFootprintCountsSharedBagsOnce(t *testing.T) {
 	for _, name := range []string{"mg", "plasma"} {
 		wl, err := workloads.Get(name)
@@ -30,8 +30,8 @@ func TestFootprintCountsSharedBagsOnce(t *testing.T) {
 		p := wl.Program()
 		sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
 		topo := sys.Solve(constraints.Topo)
-		if want := setBytes(sys, p) + constraints.DistinctPairBagBytes(topo); topo.FootprintBytes != want {
-			t.Errorf("%s: topo footprint %d, distinct-bag sum %d", name, topo.FootprintBytes, want)
+		if want := setBytes(sys, p) + constraints.DistinctPairSetBytes(topo); topo.FootprintBytes != want {
+			t.Errorf("%s: topo footprint %d, distinct-set sum %d", name, topo.FootprintBytes, want)
 		}
 		phased := sys.Solve(constraints.Phased)
 		if topo.FootprintBytes > phased.FootprintBytes {
@@ -41,8 +41,8 @@ func TestFootprintCountsSharedBagsOnce(t *testing.T) {
 		edited := progen.AppendSkip(p, p.MainIndex)
 		esys := constraints.Generate(labels.Compute(edited), constraints.ContextSensitive)
 		delta, _ := esys.SolveDelta(topo, []constraints.MethodID{p.MainIndex})
-		if want := setBytes(esys, edited) + constraints.DistinctPairBagBytes(delta); delta.FootprintBytes != want {
-			t.Errorf("%s: delta footprint %d, distinct-bag sum %d", name, delta.FootprintBytes, want)
+		if want := setBytes(esys, edited) + constraints.DistinctPairSetBytes(delta); delta.FootprintBytes != want {
+			t.Errorf("%s: delta footprint %d, distinct-set sum %d", name, delta.FootprintBytes, want)
 		}
 	}
 }

@@ -4,98 +4,53 @@ import (
 	"fx10/internal/intset"
 )
 
-// pairBag is a sparse set of ordered label pairs, used for the m
-// variables of the constraint solver. The analysis generates one m
-// variable per statement; at benchmark scale (thousands of labels) a
-// dense n×n bitmap per variable would need gigabytes, while the
-// number of distinct pairs actually flowing through the system is
-// small. Final results are converted to dense intset.PairSet.
-type pairBag map[uint64]struct{}
-
-func pairKey(i, j int) uint64 {
-	return uint64(uint32(i))<<32 | uint64(uint32(j))
-}
-
-// add inserts the ordered pair (i, j) and reports change.
-func (b pairBag) add(i, j int) bool {
-	k := pairKey(i, j)
-	if _, ok := b[k]; ok {
-		return false
+// crossSym adds (A × B) ∪ (B × A) to p and reports change, skipping
+// pairs the phase analysis proves ordered: when phase[i] and phase[j]
+// are both known and different, the single clock serializes them and
+// they can never run in parallel. phase is nil for clock-free programs
+// (no filtering). This is the ONE place pairs enter the level-2
+// system — level 2 is otherwise pure union — so filtering here makes
+// every solving strategy (and the delta solver) compute exactly the
+// phase-refined least solution, preserving cross-strategy
+// bit-identity.
+//
+// With phases, each operand is split into its unknown-phase part and
+// one part per known phase, and the kept pairs are exactly
+// CrossSym(A_unk, B) ∪ CrossSym(A, B_unk) ∪ ⋃_φ CrossSym(A_φ, B_φ).
+func crossSym(p *intset.PairSet, a, b *intset.Set, phase []int32) bool {
+	if phase == nil || a.Empty() || b.Empty() {
+		return p.CrossSym(a, b)
 	}
-	b[k] = struct{}{}
-	return true
-}
-
-// unionWith adds every pair of o and reports change.
-func (b pairBag) unionWith(o pairBag) bool {
-	changed := false
-	for k := range o {
-		if _, ok := b[k]; !ok {
-			b[k] = struct{}{}
+	aUnk, aBy := splitByPhase(a, phase)
+	bUnk, bBy := splitByPhase(b, phase)
+	changed := p.CrossSym(aUnk, b)
+	if p.CrossSym(a, bUnk) {
+		changed = true
+	}
+	for φ, aφ := range aBy {
+		if bφ := bBy[φ]; bφ != nil && p.CrossSym(aφ, bφ) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-// crossSym adds (A × B) ∪ (B × A) and reports change, skipping pairs
-// the phase analysis proves ordered: when phase[i] and phase[j] are
-// both known and different, the single clock serializes them and they
-// can never run in parallel. phase is nil for clock-free programs
-// (no filtering). This is the ONE place pairs enter the level-2
-// system — level 2 is otherwise pure union — so filtering here makes
-// every solving strategy (and the delta solver) compute exactly the
-// phase-refined least solution, preserving cross-strategy
-// bit-identity.
-func (b pairBag) crossSym(a, bb *intset.Set, phase []int32) bool {
-	if a.Empty() || bb.Empty() {
-		return false // both products are empty (O(1) on cached counts)
-	}
-	changed := false
-	a.Each(func(i int) {
-		pi := int32(-1)
-		if phase != nil {
-			pi = phase[i]
+// splitByPhase partitions s into its unknown-phase labels and one set
+// per known phase code.
+func splitByPhase(s *intset.Set, phase []int32) (*intset.Set, map[int32]*intset.Set) {
+	n := s.Universe()
+	unk := intset.New(n)
+	by := map[int32]*intset.Set{}
+	s.Each(func(i int) {
+		φ := phase[i]
+		if φ < 0 {
+			unk.Add(i)
+			return
 		}
-		bb.Each(func(j int) {
-			if pi >= 0 {
-				if pj := phase[j]; pj >= 0 && pj != pi {
-					return // provably ordered by the clock
-				}
-			}
-			if b.add(i, j) {
-				changed = true
-			}
-			if b.add(j, i) {
-				changed = true
-			}
-		})
+		if by[φ] == nil {
+			by[φ] = intset.New(n)
+		}
+		by[φ].Add(i)
 	})
-	return changed
+	return unk, by
 }
-
-// equal reports whether b and o hold exactly the same pairs.
-func (b pairBag) equal(o pairBag) bool {
-	if len(b) != len(o) {
-		return false
-	}
-	for k := range b {
-		if _, ok := o[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// toPairSet converts to a dense pair set over universe n.
-func (b pairBag) toPairSet(n int) *intset.PairSet {
-	out := intset.NewPairs(n)
-	for k := range b {
-		out.Add(int(k>>32), int(uint32(k)))
-	}
-	return out
-}
-
-// footprintBytes estimates the memory retained by the bag (Go map
-// overhead of roughly 16 bytes per 8-byte key entry).
-func (b pairBag) footprintBytes() int { return len(b) * 24 }

@@ -6,8 +6,8 @@ import "fx10/internal/intset"
 // barrier remove from the main method's MHP relation?
 //
 // The solvers drop a pair the moment it would enter a pair variable
-// (pairBag.crossSym), so the pruned pairs are never materialized during
-// solving and no strategy-dependent counter exists. They are instead
+// (crossSym in pairbag.go), so the pruned pairs are never materialized
+// during solving and no strategy-dependent counter exists. They are instead
 // reconstructed exactly from the least solution: level-1 values are
 // unaffected by the pruning (no set constraint reads a pair variable),
 // so a clock-blind solve has the same set valuation, and its main m

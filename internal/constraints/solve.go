@@ -3,7 +3,6 @@ package constraints
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -64,7 +63,7 @@ type Solution struct {
 	sys *System
 
 	setVals  []*intset.Set
-	pairVals []pairBag
+	pairVals []*intset.PairSet
 
 	// IterSlabels, IterL1 and IterL2 are the fixpoint pass counts of
 	// the three phases (each includes the final, no-change pass). In
@@ -122,19 +121,19 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	sol := &Solution{
 		sys:         s,
 		setVals:     make([]*intset.Set, len(s.SetVarNames)),
-		pairVals:    make([]pairBag, len(s.PairVarNames)),
+		pairVals:    make([]*intset.PairSet, len(s.PairVarNames)),
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
 	// The topo solver allocates its own valuation (one slab for all
-	// set variables, aliased pair bags); the iterative solvers start
+	// set variables, aliased pair sets); the iterative solvers start
 	// from an explicit bottom valuation.
 	if alg != Topo {
 		for i := range sol.setVals {
 			sol.setVals[i] = intset.New(n)
 		}
 		for i := range sol.pairVals {
-			sol.pairVals[i] = pairBag{}
+			sol.pairVals[i] = intset.NewPairs(n)
 		}
 	}
 
@@ -163,18 +162,18 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 }
 
 // footprintBytes estimates the memory the valuation retains. Dense
-// sets cost words × 8 bytes each (plus header); sparse bags are
-// estimated per entry. Topo's copy elision and SolveDelta's reuse
-// make several variables share one bag, so each distinct bag counts
+// sets cost words × 8 bytes each (plus header); pair sets cost their
+// stored chunks. Topo's copy elision and SolveDelta's reuse make
+// several variables share one pair set, so each distinct set counts
 // once.
 func (sol *Solution) footprintBytes() int {
 	n := sol.sys.P.NumLabels()
 	total := len(sol.setVals) * ((n+63)/64*8 + 24)
-	seen := make(map[uintptr]bool, len(sol.pairVals))
-	for _, b := range sol.pairVals {
-		if id := reflect.ValueOf(b).Pointer(); !seen[id] {
-			seen[id] = true
-			total += b.footprintBytes()
+	seen := make(map[*intset.PairSet]bool, len(sol.pairVals))
+	for _, m := range sol.pairVals {
+		if !seen[m] {
+			seen[m] = true
+			total += m.MemoryFootprint()
 		}
 	}
 	return total
@@ -227,13 +226,13 @@ func (sol *Solution) l2Pass(evalCrosses bool) bool {
 		lhs := sol.pairVals[c.LHS]
 		if evalCrosses {
 			for _, ct := range c.Crosses {
-				if lhs.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode) {
+				if crossSym(lhs, ct.Const, sol.setVals[ct.Var], s.PhaseCode) {
 					changed = true
 				}
 			}
 		}
 		for _, v := range c.Pairs {
-			if lhs.unionWith(sol.pairVals[v]) {
+			if lhs.UnionWith(sol.pairVals[v]) {
 				changed = true
 			}
 		}
@@ -249,7 +248,7 @@ func (sol *Solution) solveL2() {
 		sol.checkCancel()
 		lhs := sol.pairVals[c.LHS]
 		for _, ct := range c.Crosses {
-			lhs.crossSym(ct.Const, sol.setVals[ct.Var], sol.sys.PhaseCode)
+			crossSym(lhs, ct.Const, sol.setVals[ct.Var], sol.sys.PhaseCode)
 		}
 	}
 	for {
@@ -276,15 +275,19 @@ func (sol *Solution) solveMonolithic() {
 // mutate).
 func (sol *Solution) SetValue(v SetVar) *intset.Set { return sol.setVals[v] }
 
-// PairValue returns the solved value of a pair variable as a dense
-// pair set (fresh copy).
+// PairValue returns the solved value of a pair variable (fresh copy,
+// owned by the caller). The copy is over this system's label universe:
+// a delta solve may share a previous solve's value, built over the
+// previous program's.
 func (sol *Solution) PairValue(v PairVar) *intset.PairSet {
-	return sol.pairVals[v].toPairSet(sol.sys.P.NumLabels())
+	out := intset.NewPairs(sol.sys.P.NumLabels())
+	out.UnionWith(sol.pairVals[v])
+	return out
 }
 
 // PairLen returns the number of ordered pairs in a pair variable
-// without densifying it.
-func (sol *Solution) PairLen(v PairVar) int { return len(sol.pairVals[v]) }
+// without copying it.
+func (sol *Solution) PairLen(v PairVar) int { return sol.pairVals[v].Len() }
 
 // StmtR returns the solved r_s for a statement node.
 func (sol *Solution) StmtR(st *syntax.Stmt) *intset.Set { return sol.setVals[sol.sys.StmtR[st]] }
@@ -292,7 +295,7 @@ func (sol *Solution) StmtR(st *syntax.Stmt) *intset.Set { return sol.setVals[sol
 // StmtO returns the solved o_s for a statement node.
 func (sol *Solution) StmtO(st *syntax.Stmt) *intset.Set { return sol.setVals[sol.sys.StmtO[st]] }
 
-// StmtM returns the solved m_s for a statement node (fresh dense set).
+// StmtM returns the solved m_s for a statement node (fresh copy).
 func (sol *Solution) StmtM(st *syntax.Stmt) *intset.PairSet {
 	return sol.PairValue(sol.sys.StmtM[st])
 }

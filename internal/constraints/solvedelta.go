@@ -196,18 +196,16 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	sol := &Solution{
 		sys:         s,
 		setVals:     intset.NewBatch(n, len(s.SetVarNames)),
-		pairVals:    make([]pairBag, len(s.PairVarNames)),
+		pairVals:    make([]*intset.PairSet, len(s.PairVarNames)),
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
 
-	// Seed: closure variables restart from bottom (the batch sets are
-	// born empty; pair bags are presized from the previous solve, a
-	// size hint that spares the worklist's incremental map growth);
-	// every other variable gets its previous value. Identity methods
-	// (identVals) reuse it verbatim — word-copied sets, aliased pair
-	// bags, safe because the restricted solvers only ever mutate
-	// closure-owned values. The rest translate through the label remap.
+	// Seed: closure variables restart from bottom; every other variable
+	// gets its previous value. Identity methods (identVals) reuse it
+	// verbatim — word-copied sets, aliased pair sets, safe because the
+	// restricted solvers only ever mutate closure-owned values. The
+	// rest translate through the label remap.
 	// A previous value containing a label the remap does not cover
 	// means influence from outside the reused region — re-solve
 	// everything (it cannot legitimately happen for the closures
@@ -215,16 +213,8 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	for mi := range p.Methods {
 		pj := matchNewToPrev[mi]
 		if inClosure[mi] {
-			var prevPair []PairVar
-			if pj >= 0 {
-				prevPair = prevSys.PairVarsOf(pj)
-			}
-			for k, v := range s.PairVarsOf(mi) {
-				hint := 0
-				if k < len(prevPair) {
-					hint = len(prev.pairVals[prevPair[k]])
-				}
-				sol.pairVals[v] = make(pairBag, hint)
+			for _, v := range s.PairVarsOf(mi) {
+				sol.pairVals[v] = intset.NewPairs(n)
 			}
 			continue
 		}
@@ -255,8 +245,8 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 			}
 		}
 		for k, v := range s.PairVarsOf(mi) {
-			dst := make(pairBag, len(prev.pairVals[prevPair[k]]))
-			if !remapBagInto(dst, prev.pairVals[prevPair[k]], remap) {
+			dst, ok := prev.pairVals[prevPair[k]].Remap(n, func(l int) (int, bool) { return remap[l], remap[l] >= 0 })
+			if !ok {
 				return s.fullFallback(ctx)
 			}
 			sol.pairVals[v] = dst
@@ -472,19 +462,6 @@ func remapSetInto(dst *intset.Set, src *intset.Set, remap []int) bool {
 	return ok
 }
 
-// remapBagInto translates every pair of src through remap into dst,
-// reporting false if any coordinate is unmapped.
-func remapBagInto(dst pairBag, src pairBag, remap []int) bool {
-	for k := range src {
-		i, j := remap[int(k>>32)], remap[int(uint32(k))]
-		if i < 0 || j < 0 {
-			return false
-		}
-		dst[pairKey(i, j)] = struct{}{}
-	}
-	return true
-}
-
 // solveL1Restricted runs the level-1 worklist over the constraints
 // whose left-hand side is owned by a closure method. Non-closure
 // variables are already at their least fixpoint (seeded), never
@@ -586,7 +563,7 @@ func (sol *Solution) solveL2Restricted(inClosure []bool) {
 	for pos, ci := range active {
 		lhs := sol.pairVals[s.L2s[ci].LHS]
 		for _, ct := range s.L2s[ci].Crosses {
-			lhs.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode)
+			crossSym(lhs, ct.Const, sol.setVals[ct.Var], s.PhaseCode)
 		}
 		queue.push(int32(pos))
 		inQueue[pos] = true
@@ -602,7 +579,7 @@ func (sol *Solution) solveL2Restricted(inClosure []bool) {
 		lhs := sol.pairVals[c.LHS]
 		changed := false
 		for _, v := range c.Pairs {
-			if lhs.unionWith(sol.pairVals[v]) {
+			if lhs.UnionWith(sol.pairVals[v]) {
 				changed = true
 			}
 		}

@@ -311,10 +311,10 @@ func (s *System) l1SingleInflow(m int32, cid int32, comp []int32, lhsL1 []int32,
 
 // solveTopoL2 computes the level-2 least solution by SCC condensation.
 // Level-1 is final, so every cross term is a constant; the graph is
-// over pair variables only. Pair values are sparse bags, and here the
-// aliasing is kept (bags are never handed out by reference — PairValue
-// densifies a copy), so a copy-elided chain of m variables shares one
-// bag instead of duplicating it per variable.
+// over pair variables only. Here the aliasing is kept (pair values are
+// never handed out by reference — PairValue returns a copy), so a
+// copy-elided chain of m variables shares one pair set instead of
+// duplicating it per variable.
 func (sol *Solution) solveTopoL2() {
 	s := sol.sys
 	np := len(s.PairVarNames)
@@ -326,20 +326,20 @@ func (sol *Solution) solveTopoL2() {
 	comp, ncomp := tarjanSCC(np, g)
 	members := memberCSR(comp, ncomp)
 
-	bags := make([]pairBag, ncomp)
+	vals := make([]*intset.PairSet, ncomp)
 	for cid := ncomp - 1; cid >= 0; cid-- {
 		ms := members.edges[members.off[cid]:members.off[cid+1]]
 		if len(ms) == 1 {
 			if src, ok := s.l2SingleInflow(ms[0], cid, comp, lhsL2, sol.setVals); ok {
-				bags[cid] = bags[src]
+				vals[cid] = vals[src]
 				continue
 			}
 		}
-		bags[cid] = sol.evalL2Comp(cid, ms, comp, lhsL2, bags)
+		vals[cid] = sol.evalL2Comp(cid, ms, comp, lhsL2, vals)
 	}
 
 	for v := 0; v < np; v++ {
-		sol.pairVals[v] = bags[comp[v]]
+		sol.pairVals[v] = vals[comp[v]]
 	}
 }
 
@@ -379,23 +379,11 @@ func (s *System) l2Graph() (lhsL2 []int32, g graphCSR) {
 	return lhsL2, g
 }
 
-// evalL2Comp builds one component's pair bag from its cross terms and
-// the (final) bags of its predecessor components.
-func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, bags []pairBag) pairBag {
+// evalL2Comp builds one component's pair set from its cross terms and
+// the (final) values of its predecessor components.
+func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, vals []*intset.PairSet) *intset.PairSet {
 	s := sol.sys
-	// Pre-size the bag to the sum of its inflows so the map grows
-	// once instead of rehashing per union.
-	hint := 0
-	for _, m := range ms {
-		if ci := lhsL2[m]; ci >= 0 {
-			for _, v := range s.L2s[ci].Pairs {
-				if comp[v] != cid {
-					hint += len(bags[comp[v]])
-				}
-			}
-		}
-	}
-	bag := make(pairBag, hint)
+	val := intset.NewPairs(s.P.NumLabels())
 	for _, m := range ms {
 		ci := lhsL2[m]
 		if ci < 0 {
@@ -405,15 +393,15 @@ func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, bags
 		sol.checkCancel()
 		c := &s.L2s[ci]
 		for _, ct := range c.Crosses {
-			bag.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode)
+			crossSym(val, ct.Const, sol.setVals[ct.Var], s.PhaseCode)
 		}
 		for _, v := range c.Pairs {
 			if comp[v] != cid {
-				bag.unionWith(bags[comp[v]])
+				val.UnionWith(vals[comp[v]])
 			}
 		}
 	}
-	return bag
+	return val
 }
 
 // l2SingleInflow reports whether pair variable m (a singleton

@@ -93,9 +93,9 @@ func TestTopoEvaluationsAtMostWorklist(t *testing.T) {
 // copy elision stay internal: the materialized valuation hands every
 // set variable its own Set, so no sharing is visible to callers even
 // though whole alias chains were solved as one value. (Pair variables
-// are never exposed by reference — PairValue densifies a fresh copy —
-// so aliased bags are unobservable by construction; the set side is
-// where accidental sharing could leak.)
+// are never exposed by reference — PairValue returns a fresh copy —
+// so aliased pair sets are unobservable by construction; the set side
+// is where accidental sharing could leak.)
 func TestTopoAliasingPointerDistinct(t *testing.T) {
 	for _, src := range []string{fixtures.Example21Source, fixtures.Example22Source, recursiveSource} {
 		p := parser.MustParse(src)
@@ -117,7 +117,7 @@ func TestTopoAliasingPointerDistinct(t *testing.T) {
 				}
 				ptrs[s] = SetVar(v)
 			}
-			// Densified pair values are fresh per call.
+			// Pair values are fresh copies per call.
 			for v := 0; v < sys.NumPairVars(); v++ {
 				if topo.PairValue(PairVar(v)) == topo.PairValue(PairVar(v)) {
 					t.Fatalf("%v: PairValue(%s) returned a shared pair set", mode, sys.PairVarNames[v])

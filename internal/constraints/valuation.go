@@ -22,8 +22,8 @@ func (sol *Solution) ValuationEqual(other *Solution) bool {
 			return false
 		}
 	}
-	for i, b := range sol.pairVals {
-		if !b.equal(other.pairVals[i]) {
+	for i, m := range sol.pairVals {
+		if !m.Equal(other.pairVals[i]) {
 			return false
 		}
 	}

@@ -161,7 +161,7 @@ func (sol *Solution) solveL2Worklist() {
 		sol.checkCancel()
 		lhs := sol.pairVals[c.LHS]
 		for _, ct := range c.Crosses {
-			lhs.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode)
+			crossSym(lhs, ct.Const, sol.setVals[ct.Var], s.PhaseCode)
 		}
 		queue.push(int32(ci))
 		inQueue[ci] = true
@@ -177,7 +177,7 @@ func (sol *Solution) solveL2Worklist() {
 		lhs := sol.pairVals[c.LHS]
 		changed := false
 		for _, v := range c.Pairs {
-			if lhs.unionWith(sol.pairVals[v]) {
+			if lhs.UnionWith(sol.pairVals[v]) {
 				changed = true
 			}
 		}

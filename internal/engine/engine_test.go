@@ -125,8 +125,8 @@ func TestCacheHitIdenticalResult(t *testing.T) {
 }
 
 // TestCacheHitAllocation: a cache hit extracts only M. It must not
-// densify the type environment E, one n×n matrix per method: on
-// plasma that would be 152 of them.
+// materialize the type environment E, one summary per method (152 on
+// plasma), nor anything the size of a dense n×n pair matrix.
 func TestCacheHitAllocation(t *testing.T) {
 	wl, err := workloads.Get("plasma")
 	if err != nil {
@@ -152,6 +152,30 @@ func TestCacheHitAllocation(t *testing.T) {
 	}
 	if got := ms1.TotalAlloc - ms0.TotalAlloc; got >= 4*dense {
 		t.Errorf("cache hit allocated %d bytes, want < %d (4 dense %d-label pair matrices)", got, 4*dense, n)
+	}
+}
+
+// TestHugeTierAllocation: a cold context-sensitive Analyze of a
+// 5000-label huge-tier program must allocate under 40 MB in total.
+// Pair sets store only their nonzero words, so the solve and the
+// extraction of M allocate in proportion to the pairs, not to n² per
+// pair variable.
+func TestHugeTierAllocation(t *testing.T) {
+	p := progen.GenerateHuge(1, progen.Huge(5000))
+	eng := MustNew(Config{CacheSize: -1})
+	const limit = 40 << 20
+
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	_, err := eng.Analyze(Job{Program: p, Mode: constraints.ContextSensitive})
+	runtime.ReadMemStats(&ms1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ms1.TotalAlloc - ms0.TotalAlloc
+	t.Logf("Analyze of %d labels allocated %.1f MB", p.NumLabels(), float64(got)/(1<<20))
+	if got >= limit {
+		t.Errorf("Analyze of %d labels allocated %.1f MB, want < %d MB", p.NumLabels(), float64(got)/(1<<20), limit>>20)
 	}
 }
 

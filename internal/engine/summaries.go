@@ -169,7 +169,7 @@ func (e *Engine) summaryKnown(hash syntax.ProgramHash) bool {
 // summaryToCanonical rewrites a summary from global labels into the
 // canonical subtree space.
 func summaryToCanonical(sum types.Summary, toCanon map[int]int, k int) (types.Summary, bool) {
-	out := types.Summary{O: intset.New(k), M: intset.NewPairs(k)}
+	out := types.Summary{O: intset.New(k)}
 	ok := true
 	sum.O.Each(func(l int) {
 		c, in := toCanon[l]
@@ -179,14 +179,12 @@ func summaryToCanonical(sum types.Summary, toCanon map[int]int, k int) (types.Su
 		}
 		out.O.Add(c)
 	})
-	sum.M.Each(func(i, j int) {
-		ci, ini := toCanon[i]
-		cj, inj := toCanon[j]
-		if !ini || !inj {
-			ok = false
-			return
-		}
-		out.M.Add(ci, cj)
+	if !ok {
+		return out, false
+	}
+	out.M, ok = sum.M.Remap(k, func(l int) (int, bool) {
+		c, in := toCanon[l]
+		return c, in
 	})
 	return out, ok
 }
@@ -225,8 +223,8 @@ func (e *Engine) CachedSummary(p *syntax.Program, mi int) (types.Summary, bool) 
 	e.sumHits.Add(1)
 	subtree := p.MethodSubtreeLabels(mi)
 	n := p.NumLabels()
-	out := types.Summary{O: intset.New(n), M: intset.NewPairs(n)}
+	out := types.Summary{O: intset.New(n)}
 	entry.sum.O.Each(func(c int) { out.O.Add(int(subtree[c])) })
-	entry.sum.M.Each(func(ci, cj int) { out.M.Add(int(subtree[ci]), int(subtree[cj])) })
+	out.M, _ = entry.sum.M.Remap(n, func(c int) (int, bool) { return int(subtree[c]), true })
 	return out, true
 }

@@ -3,28 +3,46 @@ package intset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
-// PairSet is a dense bit-matrix set over pairs drawn from the universe
+// pairChunk is one nonzero 64-bit word of the pair matrix: bit b of
+// bits is the pair (key>>32, uint32(key)·64 + b).
+type pairChunk struct {
+	key  uint64 // row<<32 | word index within the row
+	bits uint64
+}
+
+// chunkKey is the key of the word holding the pair (i, j). It depends
+// only on the pair, never on the universe size, so pair sets built
+// over different universes (a delta solve reusing a previous solve's
+// values) union and compare directly.
+func chunkKey(i, j int) uint64 { return uint64(i)<<32 | uint64(j/wordBits) }
+
+// PairSet is a sparse set of pairs drawn from the universe
 // {0, …, n-1} × {0, …, n-1}. It represents the may-happen-in-parallel
 // sets M of the analysis: membership of (l1, l2) means the instructions
 // labeled l1 and l2 may happen in parallel.
+//
+// Only the nonzero words of the n×n bit matrix are stored, as chunks
+// sorted by (row, word). Union is a linear merge with word ORs, row
+// queries binary-search the row, and an empty set allocates nothing,
+// so memory follows the number of pairs rather than n².
 //
 // The analysis only ever constructs symmetric pair sets (symcross
 // always adds both orientations), but PairSet itself does not enforce
 // symmetry; AddSym and CrossSym are the symmetric insertion operations.
 type PairSet struct {
-	n     int      // universe size per coordinate
-	w     int      // words per row
-	words []uint64 // n rows of w words, row-major
-	count int      // cached population count (ordered pairs)
+	n      int
+	chunks []pairChunk // nonzero words, strictly increasing key
+	count  int         // cached population count (ordered pairs)
 
 	// CrossSym memo: the operands of the last CrossSym call and their
 	// generations. Pair sets only grow (Clear is the one removal and
 	// invalidates the memo), so once symcross(A, B) has been folded in,
 	// repeating it with unchanged operands provably adds nothing and is
-	// skipped without touching the bit matrix.
+	// skipped.
 	memoOK       bool
 	lastA, lastB *Set
 	genA, genB   uint32
@@ -35,32 +53,7 @@ func NewPairs(n int) *PairSet {
 	if n < 0 {
 		panic(fmt.Sprintf("intset: negative universe size %d", n))
 	}
-	w := wordsFor(n)
-	return &PairSet{n: n, w: w, words: make([]uint64, n*w)}
-}
-
-// NewPairsBatch returns k independent empty pair sets over
-// {0,…,n-1} × {0,…,n-1} backed by a single slab allocation — the
-// pair-set analog of NewBatch. A caller that materializes many pair
-// sets at once (cloning a type environment, a solver worker filling
-// its arena) allocates 3 objects instead of 2k; the sets are
-// otherwise ordinary and never observably shared.
-func NewPairsBatch(n, k int) []*PairSet {
-	if n < 0 {
-		panic(fmt.Sprintf("intset: negative universe size %d", n))
-	}
-	if k <= 0 {
-		return nil
-	}
-	w := wordsFor(n)
-	slab := make([]uint64, k*n*w)
-	sets := make([]PairSet, k)
-	out := make([]*PairSet, k)
-	for i := range sets {
-		sets[i] = PairSet{n: n, w: w, words: slab[i*n*w : (i+1)*n*w : (i+1)*n*w]}
-		out[i] = &sets[i]
-	}
-	return out
+	return &PairSet{n: n}
 }
 
 // Universe returns the per-coordinate universe size.
@@ -72,22 +65,52 @@ func (p *PairSet) checkPair(i, j int) {
 	}
 }
 
-// row returns the word slice for row i.
-func (p *PairSet) row(i int) []uint64 {
-	return p.words[i*p.w : (i+1)*p.w]
+// seek returns the first index k ≥ lo with c[k].key ≥ key, galloping
+// from lo so that a sweep of ascending keys costs O(m·log(len/m)).
+func seek(c []pairChunk, lo int, key uint64) int {
+	hi := lo
+	for step := 1; hi < len(c) && c[hi].key < key; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	return search(c, lo, min(hi, len(c)), key)
 }
 
-// Add inserts the ordered pair (i, j) and reports whether the set changed.
+// search returns the first index k in [lo, hi) with c[k].key ≥ key,
+// or hi if there is none.
+func search(c []pairChunk, lo, hi int, key uint64) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Add inserts the ordered pair (i, j) and reports whether the set
+// changed. Adding in row-major order appends, in O(1).
 func (p *PairSet) Add(i, j int) bool {
 	p.checkPair(i, j)
-	r := p.row(i)
-	w, b := j/wordBits, uint(j%wordBits)
-	old := r[w]
-	nw := old | (1 << b)
-	if nw == old {
-		return false
+	k, bit := chunkKey(i, j), uint64(1)<<uint(j%wordBits)
+	c := p.chunks
+	pos := len(c)
+	switch {
+	case pos > 0 && c[pos-1].key == k:
+		pos--
+	case pos > 0 && c[pos-1].key > k:
+		pos = search(c, 0, pos, k)
 	}
-	r[w] = nw
+	if pos < len(c) && c[pos].key == k {
+		if c[pos].bits&bit != 0 {
+			return false
+		}
+		c[pos].bits |= bit
+	} else {
+		p.chunks = slices.Insert(c, pos, pairChunk{k, bit})
+	}
 	p.count++
 	return true
 }
@@ -104,7 +127,10 @@ func (p *PairSet) Has(i, j int) bool {
 	if i < 0 || i >= p.n || j < 0 || j >= p.n {
 		return false
 	}
-	return p.row(i)[j/wordBits]&(1<<uint(j%wordBits)) != 0
+	k := chunkKey(i, j)
+	pos := search(p.chunks, 0, len(p.chunks), k)
+	return pos < len(p.chunks) && p.chunks[pos].key == k &&
+		p.chunks[pos].bits&(1<<uint(j%wordBits)) != 0
 }
 
 // CrossSym adds symcross(A, B) = (A × B) ∪ (B × A) to the set and
@@ -112,11 +138,11 @@ func (p *PairSet) Has(i, j int) bool {
 // universe. This is the workhorse of the analysis: each Lcross, Scross
 // and Tcross in the paper is a CrossSym with particular arguments.
 //
-// Two fast paths skip the O(|A|·n/64 + |B|·n/64) word sweep entirely:
-// an empty operand makes both products empty, and operands that are
-// pointer- and generation-identical to the previous CrossSym call on
-// this pair set have already been folded in (pair sets only grow, so
-// the earlier fold still covers the product).
+// Two fast paths skip the work entirely: an empty operand makes both
+// products empty, and operands that are pointer- and
+// generation-identical to the previous CrossSym call on this pair set
+// have already been folded in (pair sets only grow, so the earlier
+// fold still covers the product).
 func (p *PairSet) CrossSym(a, b *Set) bool {
 	if a.n != p.n || b.n != p.n {
 		panic(fmt.Sprintf("intset: CrossSym universe mismatch (%d, %d, %d)", a.n, b.n, p.n))
@@ -129,88 +155,170 @@ func (p *PairSet) CrossSym(a, b *Set) bool {
 			(p.lastA == b && p.genA == b.gen && p.lastB == a && p.genB == a.gen)) {
 		return false
 	}
-	changed := false
-	a.Each(func(i int) {
-		r := p.row(i)
-		for k, w := range b.words {
-			old := r[k]
-			nw := old | w
-			if nw != old {
-				r[k] = nw
-				p.count += bits.OnesCount64(nw &^ old)
-				changed = true
-			}
+	prod := crossChunks(a, b)
+	var changed bool
+	if len(p.chunks) == 0 {
+		p.chunks = prod
+		for _, c := range prod {
+			p.count += bits.OnesCount64(c.bits)
 		}
-	})
-	b.Each(func(i int) {
-		r := p.row(i)
-		for k, w := range a.words {
-			old := r[k]
-			nw := old | w
-			if nw != old {
-				r[k] = nw
-				p.count += bits.OnesCount64(nw &^ old)
-				changed = true
-			}
-		}
-	})
+		changed = true
+	} else {
+		changed = p.merge(prod)
+	}
 	p.memoOK, p.lastA, p.genA, p.lastB, p.genB = true, a, a.gen, b, b.gen
 	return changed
 }
 
-// UnionWith adds every pair of q to p and reports whether p changed.
-// An empty q and an already-saturated p short-circuit on the cached
-// population counts.
-func (p *PairSet) UnionWith(q *PairSet) bool {
-	if p.n != q.n {
-		panic(fmt.Sprintf("intset: mismatched pair universes %d and %d", p.n, q.n))
-	}
-	if q.count == 0 || p.count == p.n*p.n {
-		return false
-	}
-	changed := false
-	for i, w := range q.words {
-		old := p.words[i]
-		nw := old | w
-		if nw != old {
-			p.words[i] = nw
-			p.count += bits.OnesCount64(nw &^ old)
-			changed = true
+// crossChunks returns the chunks of (A × B) ∪ (B × A) in key order:
+// row i is B for i ∈ A∖B, A for i ∈ B∖A and A ∪ B for i ∈ A ∩ B.
+func crossChunks(a, b *Set) []pairChunk {
+	nz := 0
+	for k, x := range a.words {
+		if x|b.words[k] != 0 {
+			nz++
 		}
 	}
-	return changed
+	// The nonzero words of A, B and A ∪ B, keyed by word index.
+	buf := make([]pairChunk, 3*nz)
+	aw, bw, abw := buf[:0:nz], buf[nz:nz:2*nz], buf[2*nz:2*nz]
+	var onlyA, onlyB, both int
+	for k, x := range a.words {
+		y := b.words[k]
+		if x != 0 {
+			aw = append(aw, pairChunk{uint64(k), x})
+		}
+		if y != 0 {
+			bw = append(bw, pairChunk{uint64(k), y})
+		}
+		if x|y != 0 {
+			abw = append(abw, pairChunk{uint64(k), x | y})
+		}
+		onlyA += bits.OnesCount64(x &^ y)
+		onlyB += bits.OnesCount64(y &^ x)
+		both += bits.OnesCount64(x & y)
+	}
+	out := make([]pairChunk, 0, onlyA*len(bw)+onlyB*len(aw)+both*len(abw))
+	for k, x := range a.words {
+		y := b.words[k]
+		for u := x | y; u != 0; u &= u - 1 {
+			bit := u & -u
+			row := abw
+			switch {
+			case y&bit == 0:
+				row = bw
+			case x&bit == 0:
+				row = aw
+			}
+			base := uint64(k*wordBits+bits.TrailingZeros64(u)) << 32
+			for _, c := range row {
+				out = append(out, pairChunk{base | c.key, c.bits})
+			}
+		}
+	}
+	return out
+}
+
+// merge ORs the sorted chunks q into p in place and reports whether p
+// changed. It never retains q.
+func (p *PairSet) merge(q []pairChunk) bool {
+	c := p.chunks
+	extra, added, pos := 0, 0, 0
+	for _, x := range q {
+		pos = seek(c, pos, x.key)
+		if pos < len(c) && c[pos].key == x.key {
+			added += bits.OnesCount64(x.bits &^ c[pos].bits)
+		} else {
+			extra++
+			added += bits.OnesCount64(x.bits)
+		}
+	}
+	if added == 0 {
+		return false
+	}
+	p.count += added
+	if extra == 0 {
+		pos = 0
+		for _, x := range q {
+			pos = seek(c, pos, x.key)
+			c[pos].bits |= x.bits
+		}
+		return true
+	}
+	// Merge from the back into the grown slice: the write cursor never
+	// overtakes the unread part of p, and p's prefix below the first
+	// new key stays where it is.
+	i, j, w := len(c)-1, len(q)-1, len(c)+extra-1
+	c = slices.Grow(c, extra)[:len(c)+extra]
+	for ; j >= 0; w-- {
+		switch {
+		case i >= 0 && c[i].key > q[j].key:
+			c[w] = c[i]
+			i--
+		case i >= 0 && c[i].key == q[j].key:
+			c[w] = pairChunk{q[j].key, c[i].bits | q[j].bits}
+			i--
+			j--
+		default:
+			c[w] = q[j]
+			j--
+		}
+	}
+	p.chunks = c
+	return true
+}
+
+// UnionWith adds every pair of q to p and reports whether p changed.
+// The two sets may be over different universes: pairs are keyed
+// independently of the universe size.
+func (p *PairSet) UnionWith(q *PairSet) bool {
+	if q.count == 0 || p == q {
+		return false
+	}
+	if len(p.chunks) == 0 {
+		p.chunks = append(p.chunks, q.chunks...)
+		p.count = q.count
+		return true
+	}
+	return p.merge(q.chunks)
+}
+
+// Remap returns the set of pairs (f(i), f(j)) for (i, j) in p, over
+// {0,…,n-1}, or false if f rejects a coordinate. f need not preserve
+// order: the translated pairs are sorted, then added in row-major
+// order, so each Add appends.
+func (p *PairSet) Remap(n int, f func(int) (int, bool)) (*PairSet, bool) {
+	keys := make([]uint64, 0, p.count)
+	ok := true
+	p.Each(func(i, j int) {
+		if !ok {
+			return
+		}
+		fi, oki := f(i)
+		fj, okj := f(j)
+		ok = oki && okj
+		keys = append(keys, uint64(fi)<<32|uint64(fj))
+	})
+	if !ok {
+		return nil, false
+	}
+	slices.Sort(keys)
+	out := NewPairs(n)
+	for _, k := range keys {
+		out.Add(int(k>>32), int(uint32(k)))
+	}
+	return out, true
 }
 
 // Clone returns an independent copy of p.
 func (p *PairSet) Clone() *PairSet {
-	c := &PairSet{n: p.n, w: p.w, words: make([]uint64, len(p.words)), count: p.count}
-	copy(c.words, p.words)
-	return c
-}
-
-// CopyFrom overwrites p with the contents of q — the Clone-into-arena
-// fast path: a single word copy into already-allocated (typically
-// NewPairsBatch slab) storage. The pair sets must share a universe
-// size. The CrossSym memo is invalidated: overwriting may shrink the
-// set, so earlier folds no longer prove anything.
-func (p *PairSet) CopyFrom(q *PairSet) {
-	if p.n != q.n {
-		panic(fmt.Sprintf("intset: mismatched pair universes %d and %d", p.n, q.n))
-	}
-	copy(p.words, q.words)
-	p.count = q.count
-	p.memoOK, p.lastA, p.lastB = false, nil, nil
+	return &PairSet{n: p.n, chunks: slices.Clone(p.chunks), count: p.count}
 }
 
 // Clear removes all pairs and invalidates the CrossSym memo.
 func (p *PairSet) Clear() {
 	p.memoOK, p.lastA, p.lastB = false, nil, nil
-	if p.count == 0 {
-		return
-	}
-	for i := range p.words {
-		p.words[i] = 0
-	}
+	p.chunks = p.chunks[:0]
 	p.count = 0
 }
 
@@ -221,26 +329,21 @@ func (p *PairSet) Len() int { return p.count }
 // Empty reports whether the set has no pairs.
 func (p *PairSet) Empty() bool { return p.count == 0 }
 
-// Equal reports whether p and q contain the same pairs.
+// Equal reports whether p and q contain the same pairs, whatever
+// their universes.
 func (p *PairSet) Equal(q *PairSet) bool {
-	if p.n != q.n {
-		return false
-	}
-	for i, w := range p.words {
-		if w != q.words[i] {
-			return false
-		}
-	}
-	return true
+	return p.count == q.count && slices.Equal(p.chunks, q.chunks)
 }
 
 // SubsetOf reports whether every pair of p is in q.
 func (p *PairSet) SubsetOf(q *PairSet) bool {
-	if p.n != q.n {
-		panic(fmt.Sprintf("intset: mismatched pair universes %d and %d", p.n, q.n))
+	if p.count > q.count {
+		return false
 	}
-	for i, w := range p.words {
-		if w&^q.words[i] != 0 {
+	pos := 0
+	for _, x := range p.chunks {
+		pos = seek(q.chunks, pos, x.key)
+		if pos == len(q.chunks) || q.chunks[pos].key != x.key || x.bits&^q.chunks[pos].bits != 0 {
 			return false
 		}
 	}
@@ -260,14 +363,10 @@ func (p *PairSet) Symmetric() bool {
 
 // Each calls f on every ordered pair in row-major order.
 func (p *PairSet) Each(f func(i, j int)) {
-	for i := 0; i < p.n; i++ {
-		r := p.row(i)
-		for wi, w := range r {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				f(i, wi*wordBits+b)
-				w &= w - 1
-			}
+	for _, c := range p.chunks {
+		i, base := int(c.key>>32), int(uint32(c.key))*wordBits
+		for w := c.bits; w != 0; w &= w - 1 {
+			f(i, base+bits.TrailingZeros64(w))
 		}
 	}
 }
@@ -279,15 +378,22 @@ func (p *PairSet) Pairs() [][2]int {
 	return out
 }
 
+// row returns the chunks of row i.
+func (p *PairSet) row(i int) []pairChunk {
+	lo := search(p.chunks, 0, len(p.chunks), uint64(i)<<32)
+	hi := seek(p.chunks, lo, uint64(i+1)<<32)
+	return p.chunks[lo:hi]
+}
+
 // Row returns the set of js with (i, j) in p, as a fresh Set.
 func (p *PairSet) Row(i int) *Set {
 	if i < 0 || i >= p.n {
 		panic(fmt.Sprintf("intset: row %d outside universe [0,%d)", i, p.n))
 	}
 	s := New(p.n)
-	copy(s.words, p.row(i))
-	for _, w := range s.words {
-		s.count += bits.OnesCount64(w)
+	for _, c := range p.row(i) {
+		s.words[uint32(c.key)] = c.bits
+		s.count += bits.OnesCount64(c.bits)
 	}
 	return s
 }
@@ -295,12 +401,8 @@ func (p *PairSet) Row(i int) *Set {
 // RowIntersects reports whether row i of p has any element in common
 // with the set b.
 func (p *PairSet) RowIntersects(i int, b *Set) bool {
-	if b.n != p.n {
-		panic(fmt.Sprintf("intset: RowIntersects universe mismatch %d and %d", b.n, p.n))
-	}
-	r := p.row(i)
-	for k, w := range b.words {
-		if r[k]&w != 0 {
+	for _, c := range p.row(i) {
+		if w := int(uint32(c.key)); w < len(b.words) && b.words[w]&c.bits != 0 {
 			return true
 		}
 	}
@@ -323,7 +425,8 @@ func (p *PairSet) String() string {
 	return b.String()
 }
 
-// MemoryFootprint returns the approximate number of bytes used by the
-// pair set's backing storage. The solver uses this for the space column
-// of Figure 8.
-func (p *PairSet) MemoryFootprint() int { return len(p.words) * 8 }
+// MemoryFootprint returns the approximate number of bytes the pair
+// set's stored chunks occupy (16 per nonzero word). It depends only on
+// the contents, so equal sets estimate the same. The solver uses this
+// for the space column of Figure 8.
+func (p *PairSet) MemoryFootprint() int { return len(p.chunks) * 16 }

@@ -2,6 +2,8 @@ package intset
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -215,6 +217,11 @@ func TestQuickPairAlgebra(t *testing.T) {
 	}
 }
 
+// TestPairRandomizedAgainstMap drives random Adds (in no particular
+// order), membership probes and unions with sets built over other
+// universes against a map, then checks Each visits the map's pairs in
+// row-major order and Row and RowIntersects on the first, last and an
+// absent row.
 func TestPairRandomizedAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const n = 73
@@ -222,25 +229,108 @@ func TestPairRandomizedAgainstMap(t *testing.T) {
 	ref := map[[2]int]bool{}
 	for i := 0; i < 5000; i++ {
 		a, b := rng.Intn(n), rng.Intn(n)
-		switch rng.Intn(2) {
+		switch rng.Intn(3) {
 		case 0:
-			p.Add(a, b)
+			if p.Add(a, b) == ref[[2]int{a, b}] {
+				t.Fatalf("step %d: Add(%d,%d) change report wrong", i, a, b)
+			}
 			ref[[2]int{a, b}] = true
 		case 1:
 			if p.Has(a, b) != ref[[2]int{a, b}] {
 				t.Fatalf("step %d: Has(%d,%d) mismatch", i, a, b)
+			}
+		case 2:
+			q := NewPairs(n - 10 + rng.Intn(20))
+			for k := 0; k < 3; k++ {
+				if x, y := rng.Intn(q.Universe()), rng.Intn(q.Universe()); x < n && y < n {
+					q.Add(x, y)
+				}
+			}
+			want := false
+			q.Each(func(x, y int) {
+				if !ref[[2]int{x, y}] {
+					ref[[2]int{x, y}] = true
+					want = true
+				}
+			})
+			if got := p.UnionWith(q); got != want {
+				t.Fatalf("step %d: UnionWith changed=%v, want %v", i, got, want)
 			}
 		}
 	}
 	if p.Len() != len(ref) {
 		t.Fatalf("Len = %d, ref %d", p.Len(), len(ref))
 	}
+
+	want := make([][2]int, 0, len(ref))
+	for k := range ref {
+		want = append(want, k)
+	}
+	sort.Slice(want, func(x, y int) bool {
+		return want[x][0] < want[y][0] || want[x][0] == want[y][0] && want[x][1] < want[y][1]
+	})
+	if got := p.Pairs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Pairs() not the reference in row-major order")
+	}
+
+	// Rebuild without row 40, so that row is absent.
+	q := NewPairs(n)
+	for _, k := range want {
+		if k[0] != 40 {
+			q.Add(k[0], k[1])
+		}
+	}
+	all := New(n)
+	for e := 0; e < n; e++ {
+		all.Add(e)
+	}
+	for _, i := range []int{0, n - 1, 40} {
+		row := q.Row(i)
+		for j := 0; j < n; j++ {
+			if row.Has(j) != (i != 40 && ref[[2]int{i, j}]) {
+				t.Fatalf("Row(%d).Has(%d) = %v", i, j, row.Has(j))
+			}
+		}
+		if got := q.RowIntersects(i, all); got != !row.Empty() {
+			t.Fatalf("RowIntersects(%d, all) = %v, row %v", i, got, row)
+		}
+	}
 }
 
+// TestMemoryFootprint: the estimate is a function of the stored
+// chunks alone — 16 bytes per nonzero 64-bit word, not the universe
+// size or slice capacity — so an aliased value, a copy and an equal
+// set built another way all estimate the same.
 func TestMemoryFootprint(t *testing.T) {
-	p := NewPairs(128)
-	// 128 rows × 2 words × 8 bytes
-	if got := p.MemoryFootprint(); got != 128*2*8 {
-		t.Fatalf("MemoryFootprint = %d, want %d", got, 128*2*8)
+	if got := NewPairs(1 << 20).MemoryFootprint(); got != 0 {
+		t.Fatalf("empty set over 2^20 labels: MemoryFootprint = %d, want 0", got)
+	}
+	p := NewPairs(200)
+	p.Add(3, 0)
+	p.Add(3, 63)  // same word as (3,0)
+	p.Add(3, 64)  // second word of row 3
+	p.Add(199, 5) // another row
+	if got := p.MemoryFootprint(); got != 3*16 {
+		t.Fatalf("MemoryFootprint = %d, want %d (3 chunks)", got, 3*16)
+	}
+
+	// Equal sets built by out-of-order Adds, by union over a larger
+	// universe, and by Clone estimate the same, whatever their slice
+	// capacities.
+	q := NewPairs(200)
+	for _, pr := range [][2]int{{199, 5}, {3, 64}, {3, 0}, {3, 63}} {
+		q.Add(pr[0], pr[1])
+	}
+	r := NewPairs(300)
+	r.UnionWith(NewPairs(10))
+	r.UnionWith(q)
+	for _, s := range []*PairSet{q, r, p.Clone()} {
+		if !s.Equal(p) || s.MemoryFootprint() != p.MemoryFootprint() {
+			t.Fatalf("%v: MemoryFootprint %d, want %d", s, s.MemoryFootprint(), p.MemoryFootprint())
+		}
+	}
+	p.Clear()
+	if got := p.MemoryFootprint(); got != 0 {
+		t.Fatalf("after Clear: MemoryFootprint = %d, want 0", got)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// pairModel is the naive reference implementation the dense PairSet is
+// pairModel is the naive reference implementation the sparse PairSet is
 // checked against: a map of ordered pairs with the set-theoretic
 // definitions of AddSym, UnionWith and CrossSym written out directly.
 type pairModel map[[2]int]bool
@@ -57,6 +57,57 @@ func (m pairModel) equalPairSet(t *testing.T, p *PairSet) {
 	}
 }
 
+// checkShape compares the queries that walk PairSet's chunk layout
+// against the model: Each must visit exactly the model's pairs in
+// row-major order, and Row and RowIntersects must agree on an absent
+// row, the first and last rows, and a random row.
+func (m pairModel) checkShape(t *testing.T, rng *rand.Rand, p *PairSet, n int) {
+	t.Helper()
+	var prev [2]int
+	seen := 0
+	p.Each(func(i, j int) {
+		cur := [2]int{i, j}
+		if seen > 0 && (cur[0] < prev[0] || cur[0] == prev[0] && cur[1] <= prev[1]) {
+			t.Fatalf("Each visited %v after %v: not row-major", cur, prev)
+		}
+		if !m[cur] {
+			t.Fatalf("Each visited %v, not in the model", cur)
+		}
+		prev = cur
+		seen++
+	})
+	if seen != len(m) {
+		t.Fatalf("Each visited %d pairs, model has %d", seen, len(m))
+	}
+	rows := map[int]bool{}
+	for k := range m {
+		rows[k[0]] = true
+	}
+	probe := []int{0, n - 1, rng.Intn(n)}
+	for i := 0; i < n; i++ {
+		if !rows[i] {
+			probe = append(probe, i) // an absent row
+			break
+		}
+	}
+	b, _ := randomSet(rng, n, 0.3)
+	for _, i := range probe {
+		row := p.Row(i)
+		want := false
+		for j := 0; j < n; j++ {
+			if row.Has(j) != m[[2]int{i, j}] {
+				t.Fatalf("Row(%d).Has(%d) = %v, model %v", i, j, row.Has(j), m[[2]int{i, j}])
+			}
+			if m[[2]int{i, j}] && b.Has(j) {
+				want = true
+			}
+		}
+		if got := p.RowIntersects(i, b); got != want {
+			t.Fatalf("RowIntersects(%d, %v) = %v, model %v", i, b, got, want)
+		}
+	}
+}
+
 // randomSet returns a random subset of {0,…,n-1} with the given
 // density, as both a Set and its element slice. density 0 exercises
 // the empty-operand fast paths.
@@ -92,7 +143,7 @@ func TestPairSetPropertyModel(t *testing.T) {
 			a, aElems := randomSet(rng, n, density)
 			b, bElems := randomSet(rng, n, []float64{0, 0.1, 0.5}[rng.Intn(3)])
 
-			switch rng.Intn(5) {
+			switch rng.Intn(9) {
 			case 0: // symmetric cross of two fresh sets
 				got := p.CrossSym(a, b)
 				want := model.crossSym(aElems, bElems)
@@ -140,10 +191,79 @@ func TestPairSetPropertyModel(t *testing.T) {
 				if got != want {
 					t.Fatalf("n=%d round=%d: post-mutation CrossSym changed=%v, model=%v", n, round, got, want)
 				}
+			case 5: // ordered Adds in descending order: every insert
+				// lands before existing chunks, never an append.
+				for k := 0; k < 8; k++ {
+					i, j := n-1-rng.Intn(n), n-1-rng.Intn(n)
+					key := [2]int{i, j}
+					if got, want := p.Add(i, j), !model[key]; got != want {
+						t.Fatalf("n=%d round=%d: Add(%d,%d) changed=%v, model=%v", n, round, i, j, got, want)
+					}
+					model[key] = true
+				}
+			case 6: // UnionWith and Equal against a set over a larger
+				// universe holding the same labels (a delta solve
+				// reusing a previous solve's values).
+				q := NewPairs(n + 1 + rng.Intn(70))
+				qModel := pairModel{}
+				q.CrossSym(growSet(a, q.Universe()), growSet(b, q.Universe()))
+				qModel.crossSym(aElems, bElems)
+				got := p.UnionWith(q)
+				want := model.unionWith(qModel)
+				if got != want {
+					t.Fatalf("n=%d round=%d: cross-universe UnionWith changed=%v, model=%v", n, round, got, want)
+				}
+				c := NewPairs(n + 64)
+				c.UnionWith(p)
+				if !c.Equal(p) || !p.Equal(c) || !p.SubsetOf(c) || !c.SubsetOf(p) {
+					t.Fatalf("n=%d round=%d: copy over universe %d not Equal", n, round, c.Universe())
+				}
+				if c.AddSym(n, n) && (c.Equal(p) || c.SubsetOf(p)) {
+					t.Fatalf("n=%d round=%d: Equal/SubsetOf ignore a pair outside p's universe", n, round)
+				}
+			case 7: // Clone is independent and Equal
+				c := p.Clone()
+				if !c.Equal(p) {
+					t.Fatalf("n=%d round=%d: Clone not Equal", n, round)
+				}
+				c.AddSym(rng.Intn(n), rng.Intn(n))
+				model.equalPairSet(t, p)
+			case 8: // Remap through a permutation into a larger
+				// universe, which reorders rows and columns; then a
+				// map that rejects one label.
+				m := n + rng.Intn(10)
+				perm := rng.Perm(m)
+				r, ok := p.Remap(m, func(l int) (int, bool) { return perm[l], true })
+				want := pairModel{}
+				for k := range model {
+					want[[2]int{perm[k[0]], perm[k[1]]}] = true
+				}
+				if !ok {
+					t.Fatalf("n=%d round=%d: Remap rejected a total map", n, round)
+				}
+				want.equalPairSet(t, r)
+				want.checkShape(t, rng, r, m)
+				bad := rng.Intn(n)
+				_, ok = p.Remap(n, func(l int) (int, bool) { return l, l != bad })
+				used := false
+				for k := range model {
+					used = used || k[0] == bad || k[1] == bad
+				}
+				if ok == used {
+					t.Fatalf("n=%d round=%d: Remap rejecting %d reported ok=%v", n, round, bad, ok)
+				}
 			}
 			model.equalPairSet(t, p)
+			model.checkShape(t, rng, p, n)
 		}
 	}
+}
+
+// growSet returns a copy of s over the larger universe m.
+func growSet(s *Set, m int) *Set {
+	g := New(m)
+	s.Each(func(e int) { g.Add(e) })
+	return g
 }
 
 // TestPairSetCrossSymMemoInvalidation pins the memo's correctness
@@ -239,24 +359,4 @@ func TestNewBatch(t *testing.T) {
 	if NewBatch(4, 0) != nil {
 		t.Fatal("NewBatch(n, 0) != nil")
 	}
-}
-
-// TestPairSetPool checks Get/Put recycling returns empty sets of the
-// right universe.
-func TestPairSetPool(t *testing.T) {
-	pool := NewPairSetPool()
-	p := pool.Get(32)
-	if p.Universe() != 32 || p.Len() != 0 {
-		t.Fatalf("Get(32): universe %d len %d", p.Universe(), p.Len())
-	}
-	p.AddSym(1, 2)
-	pool.Put(p)
-	q := pool.Get(32)
-	if q.Len() != 0 {
-		t.Fatalf("recycled pair set not cleared: %v", q)
-	}
-	if r := pool.Get(8); r.Universe() != 8 {
-		t.Fatalf("Get(8) universe %d", r.Universe())
-	}
-	pool.Put(nil) // must not panic
 }

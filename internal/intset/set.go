@@ -1,12 +1,14 @@
 // Package intset provides dense bit-vector sets over a fixed universe
-// {0, …, n-1} of small integers, plus a companion pair-set over the
-// universe {0, …, n-1} × {0, …, n-1}.
+// {0, …, n-1} of small integers, plus a companion sparse pair set over
+// the universe {0, …, n-1} × {0, …, n-1}.
 //
 // The may-happen-in-parallel analysis of Featherweight X10 manipulates
 // sets of statement labels (R and O sets) and sets of label pairs
 // (M sets). Lee and Palsberg's complexity argument (Section 5.2 of the
 // paper) assumes bit-vector sets so that a union is O(n) or O(n^2) word
-// operations; this package is that representation.
+// operations. Label sets are exactly that; pair sets keep only the
+// nonzero words of the n×n bit matrix, so a union costs word operations
+// over the pairs present and an empty pair set costs nothing.
 //
 // Sets are mutable. The zero value is not useful; construct sets with
 // New and pair sets with NewPairs. All sets participating in one

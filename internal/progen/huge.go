@@ -29,7 +29,7 @@ type HugeConfig struct {
 	// Groups is the number of finish{async…} groups per method body;
 	// GroupWidth asyncs per group run in parallel, each with
 	// GroupBody assignments. The enclosing finish keeps the group's
-	// pairs local: pair bags grow linearly in method count, not
+	// pairs local: pair sets grow linearly in method count, not
 	// quadratically in program size.
 	Groups, GroupWidth, GroupBody int
 	// Escape is the number of asyncs spawned outside any finish —

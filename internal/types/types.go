@@ -54,31 +54,18 @@ type Env []Summary
 // program with the given label universe.
 func NewEnv(p *syntax.Program) Env {
 	n := p.NumLabels()
-	ms := intset.NewPairsBatch(n, len(p.Methods))
-	os := intset.NewBatch(n, len(p.Methods))
 	env := make(Env, len(p.Methods))
 	for i := range env {
-		env[i] = Summary{M: ms[i], O: os[i]}
+		env[i] = Summary{M: intset.NewPairs(n), O: intset.New(n)}
 	}
 	return env
 }
 
-// Clone returns an independent copy of the environment. The copies
-// are materialized into one batch slab per kind (every summary of an
-// environment shares the program's label universe), a word copy per
-// summary rather than 2·|methods| allocations.
+// Clone returns an independent copy of the environment.
 func (e Env) Clone() Env {
 	c := make(Env, len(e))
-	if len(e) == 0 {
-		return c
-	}
-	n := e[0].O.Universe()
-	ms := intset.NewPairsBatch(n, len(e))
-	os := intset.NewBatch(n, len(e))
 	for i := range e {
-		ms[i].CopyFrom(e[i].M)
-		os[i].CopyFrom(e[i].O)
-		c[i] = Summary{M: ms[i], O: os[i]}
+		c[i] = e[i].Clone()
 	}
 	return c
 }
@@ -112,11 +99,9 @@ func NewChecker(in *labels.Info) *Checker {
 func (c *Checker) Info() *labels.Info { return c.in }
 
 // JudgeStmt computes the unique M, O with p, E, R ⊢ s : M, O
-// (rules (50)–(56)). R is not mutated; the results are fresh (M is
-// drawn from the pair-set pool; callers that discard it may recycle it
-// with intset.PairPool.Put).
+// (rules (50)–(56)). R is not mutated; the results are fresh.
 func (c *Checker) JudgeStmt(env Env, r *intset.Set, s *syntax.Stmt) (*intset.PairSet, *intset.Set) {
-	m := intset.PairPool.Get(c.n)
+	m := intset.NewPairs(c.n)
 	o := c.judgeInto(m, env, r, s)
 	return m, o
 }
@@ -249,7 +234,6 @@ func (c *Checker) Check(env Env) error {
 			return fmt.Errorf("types: method %q: O mismatch (judged %v, env %v)",
 				meth.Name, got.O, env[mi].O)
 		}
-		intset.PairPool.Put(got.M) // judged copy is checked and dead
 	}
 	return nil
 }
@@ -276,11 +260,6 @@ func (c *Checker) Infer() InferResult {
 			if !next[mi].Equal(env[mi]) {
 				changed = true
 			}
-		}
-		// The superseded environment's pair sets are dead once next is
-		// built; recycle them for the following pass's judgments.
-		for _, s := range env {
-			intset.PairPool.Put(s.M)
 		}
 		env = next
 		if !changed {
