@@ -1,7 +1,11 @@
 package fx10_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"fx10/internal/constraints"
@@ -16,6 +20,7 @@ import (
 	"fx10/internal/parser"
 	"fx10/internal/progen"
 	"fx10/internal/runtime"
+	"fx10/internal/server"
 	"fx10/internal/syntax"
 	"fx10/internal/types"
 	"fx10/internal/workloads"
@@ -376,6 +381,42 @@ func BenchmarkEngineDelta(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServerColdAnalyze measures a cold /v1/analyze through the
+// daemon's handler: the 13 paper programs as X10 source, each with a
+// never-called empty method whose name changes every iteration, so the
+// program cache always misses. One op analyzes all 13, so the figure
+// covers decode, front end, generation, solve, report and encode.
+func BenchmarkServerColdAnalyze(b *testing.B) {
+	s, err := server.New(server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	var srcs []string
+	for _, wl := range workloads.All() {
+		srcs = append(srcs, x10.Render(wl.Unit()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, src := range srcs {
+			body, err := json.Marshal(server.AnalyzeRequest{
+				Source:   fmt.Sprintf("%s\ndef bench_%d_%d() {\n}\n", src, i, k),
+				Language: "x10",
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}
 }
 
 // BenchmarkScaling measures the full pipeline on the three

@@ -13,7 +13,7 @@ import (
 // setBytes is the dense-set part of a footprint estimate: one
 // n-bit set (plus header) per set variable.
 func setBytes(sys *constraints.System, p *syntax.Program) int {
-	return len(sys.SetVarNames) * ((p.NumLabels()+63)/64*8 + 24)
+	return sys.NumSetVars() * ((p.NumLabels()+63)/64*8 + 24)
 }
 
 // TestFootprintCountsSharedBagsOnce: topo's copy elision, and

@@ -26,51 +26,86 @@ import (
 // more level-1 passes (the Figure 9 effect).
 func Generate(in *labels.Info, mode Mode) *System {
 	p := in.Program()
-	s := &System{
-		P:     p,
-		Info:  in,
-		Mode:  mode,
-		StmtR: map[*syntax.Stmt]SetVar{},
-		StmtO: map[*syntax.Stmt]SetVar{},
-		StmtM: map[*syntax.Stmt]PairVar{},
+	n := p.NumLabels()
+	var calls, whiles int
+	for _, li := range p.Labels {
+		switch li.Kind {
+		case syntax.KindCall:
+			calls++
+		case syntax.KindWhile:
+			whiles++
+		}
 	}
-	g := &generator{s: s, in: in, n: p.NumLabels()}
+	nm := len(p.Methods)
+	nSet, l1Vars := 2*n+nm, 2*n+calls
+	if mode == ContextInsensitive {
+		nSet += nm
+		l1Vars += nm
+	}
+	s := &System{
+		P:          p,
+		Info:       in,
+		Mode:       mode,
+		L1s:        make([]L1, 0, nSet),
+		L2s:        make([]L2, 0, n+nm),
+		StmtR:      make([]SetVar, n),
+		StmtO:      make([]SetVar, n),
+		StmtM:      make([]PairVar, n),
+		setVarSrc:  make([]int32, 0, nSet),
+		pairVarSrc: make([]int32, 0, n+nm),
+	}
+	if mode == ContextInsensitive {
+		s.Subsets = make([]Subset, 0, calls)
+	}
+	// The shared backing arrays at their exact sizes. A statement has
+	// one more var and pair reference when it has a continuation, and
+	// all but the nm method bodies and the while/async/finish bodies
+	// do, which leaves these totals.
+	g := &generator{
+		s:       s,
+		in:      in,
+		vars:    make([]SetVar, 0, l1Vars),
+		crosses: make([]CrossTerm, 0, n+whiles+calls),
+		pairs:   make([]PairVar, 0, n+calls),
+	}
 
 	// Per-method variables first, so call-site constraints can refer
 	// to any method.
-	s.MethodO = make([]SetVar, len(p.Methods))
-	s.MethodM = make([]PairVar, len(p.Methods))
+	s.MethodO = make([]SetVar, nm)
+	s.MethodM = make([]PairVar, nm)
 	if mode == ContextInsensitive {
-		s.MethodR = make([]SetVar, len(p.Methods))
+		s.MethodR = make([]SetVar, nm)
 	}
-	for i, m := range p.Methods {
-		s.MethodO[i] = g.newSetVar("o_" + m.Name)
-		s.MethodM[i] = g.newPairVar("m_" + m.Name)
+	for i := range p.Methods {
+		src := methodSrc(i)
+		s.MethodO[i] = g.newSetVar(src)
+		s.MethodM[i] = g.newPairVar(src)
 		if mode == ContextInsensitive {
-			s.MethodR[i] = g.newSetVar("r_" + m.Name)
+			s.MethodR[i] = g.newSetVar(src)
 		}
 	}
 
 	for _, i := range calleeFirstOrder(p) {
 		m := p.Methods[i]
+		body := m.Body.Instr.Label()
 		g.allocStmt(m.Body)
 		// Equation (57) / (84): the body's R is ∅, or rᵢ when
 		// context-insensitive.
 		if mode == ContextInsensitive {
-			g.l1(s.StmtR[m.Body], nil, s.MethodR[i])
+			g.l1(s.StmtR[body], nil, s.MethodR[i])
 			// rᵢ itself is defined only by the subset constraints
 			// from call sites; give it the empty base equation.
 			g.l1(s.MethodR[i], nil)
 		} else {
-			g.l1(s.StmtR[m.Body], nil)
+			g.l1(s.StmtR[body], nil)
 		}
 
 		g.genStmt(m.Body)
 
 		// Equations (58), (59), after the body so oᵢ/mᵢ see the
 		// body's solved values within the same pass.
-		g.l1(s.MethodO[i], nil, s.StmtO[m.Body])
-		s.L2s = append(s.L2s, L2{LHS: s.MethodM[i], Pairs: []PairVar{s.StmtM[m.Body]}})
+		g.l1(s.MethodO[i], nil, s.StmtO[body])
+		g.l2(s.MethodM[i], nil, s.StmtM[body])
 	}
 	s.buildPartition()
 
@@ -116,18 +151,23 @@ func calleeFirstOrder(p *syntax.Program) []int {
 type generator struct {
 	s  *System
 	in *labels.Info
-	n  int
+
+	// Shared backing arrays the constraints' Vars, Crosses and Pairs
+	// slices are cut from.
+	vars    []SetVar
+	crosses []CrossTerm
+	pairs   []PairVar
 }
 
-func (g *generator) newSetVar(name string) SetVar {
-	v := SetVar(len(g.s.SetVarNames))
-	g.s.SetVarNames = append(g.s.SetVarNames, name)
+func (g *generator) newSetVar(src int32) SetVar {
+	v := SetVar(len(g.s.setVarSrc))
+	g.s.setVarSrc = append(g.s.setVarSrc, src)
 	return v
 }
 
-func (g *generator) newPairVar(name string) PairVar {
-	v := PairVar(len(g.s.PairVarNames))
-	g.s.PairVarNames = append(g.s.PairVarNames, name)
+func (g *generator) newPairVar(src int32) PairVar {
+	v := PairVar(len(g.s.pairVarSrc))
+	g.s.pairVarSrc = append(g.s.pairVarSrc, src)
 	return v
 }
 
@@ -135,49 +175,54 @@ func (g *generator) newPairVar(name string) PairVar {
 // (suffix) reachable from st, including nested bodies.
 func (g *generator) allocStmt(st *syntax.Stmt) {
 	for cur := st; cur != nil; cur = cur.Next {
-		name := g.s.P.LabelName(cur.Instr.Label())
-		g.s.StmtR[cur] = g.newSetVar("r_" + name)
-		g.s.StmtO[cur] = g.newSetVar("o_" + name)
-		g.s.StmtM[cur] = g.newPairVar("m_" + name)
+		l := cur.Instr.Label()
+		g.s.StmtR[l] = g.newSetVar(int32(l))
+		g.s.StmtO[l] = g.newSetVar(int32(l))
+		g.s.StmtM[l] = g.newPairVar(int32(l))
 		if b := syntax.Body(cur.Instr); b != nil {
 			g.allocStmt(b)
 		}
 	}
 }
 
+// cut appends xs to the shared backing array *buf and returns them as
+// a slice of it whose capacity ends at its length, so appending to the
+// result never overwrites a neighbour.
+func cut[T any](buf *[]T, xs ...T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	if len(*buf)+len(xs) > cap(*buf) {
+		*buf = make([]T, 0, max(2*cap(*buf), len(xs)))
+	}
+	lo := len(*buf)
+	*buf = append(*buf, xs...)
+	return (*buf)[lo:len(*buf):len(*buf)]
+}
+
 // l1 appends LHS = const ∪ vars….
 func (g *generator) l1(lhs SetVar, c *intset.Set, vars ...SetVar) {
-	g.s.L1s = append(g.s.L1s, L1{LHS: lhs, Const: c, Vars: vars})
+	g.s.L1s = append(g.s.L1s, L1{LHS: lhs, Const: c, Vars: cut(&g.vars, vars...)})
+}
+
+// l2 appends LHS = crosses… ∪ pairs….
+func (g *generator) l2(lhs PairVar, crosses []CrossTerm, pairs ...PairVar) {
+	g.s.L2s = append(g.s.L2s, L2{LHS: lhs, Crosses: cut(&g.crosses, crosses...), Pairs: cut(&g.pairs, pairs...)})
 }
 
 // lcross builds the Lcross(l, v) cross term.
-func (g *generator) lcross(l syntax.Label, v SetVar) CrossTerm {
-	return CrossTerm{
-		Kind:  KLcross,
-		Name:  g.s.P.LabelName(l),
-		Const: intset.Of(g.n, int(l)),
-		Var:   v,
-	}
+func lcross(l syntax.Label, v SetVar) CrossTerm {
+	return CrossTerm{Kind: KLcross, Label: l, Var: v}
 }
 
 // scross builds the Scross(s, v) cross term for a statement.
 func (g *generator) scross(body *syntax.Stmt, v SetVar) CrossTerm {
-	return CrossTerm{
-		Kind:  KScross,
-		Name:  g.s.P.LabelName(body.Instr.Label()),
-		Const: g.in.Slabels(body),
-		Var:   v,
-	}
+	return CrossTerm{Kind: KScross, Label: body.Instr.Label(), Const: g.in.Slabels(body), Var: v}
 }
 
 // symcrossMethod builds symcross(Slabels(p(f)), v) for a callee.
 func (g *generator) symcrossMethod(mi int, v SetVar) CrossTerm {
-	return CrossTerm{
-		Kind:  KSymcross,
-		Name:  "Slabels(" + g.s.P.Methods[mi].Name + ")",
-		Const: g.in.MethodLabels(mi),
-		Var:   v,
-	}
+	return CrossTerm{Kind: KSymcross, Method: mi, Const: g.in.MethodLabels(mi), Var: v}
 }
 
 // genStmt emits the constraints for the statement node cur and
@@ -190,82 +235,79 @@ func (g *generator) genStmt(cur *syntax.Stmt) {
 	}
 	s := g.s
 	l := cur.Instr.Label()
+	rS, oS, mS := s.StmtR[l], s.StmtO[l], s.StmtM[l]
+	// Continuation variables (equal to the statement's own when there
+	// is none; only read when k != nil).
 	k := cur.Next
-	rS, oS, mS := s.StmtR[cur], s.StmtO[cur], s.StmtM[cur]
+	rK, oK, mK := rS, oS, mS
+	if k != nil {
+		kl := k.Instr.Label()
+		rK, oK, mK = s.StmtR[kl], s.StmtO[kl], s.StmtM[kl]
+	}
 
 	switch i := cur.Instr.(type) {
 	case *syntax.Skip, *syntax.Assign, *syntax.Next:
 		// Equations (60)–(67); next is clock-erased (see
 		// internal/types), so it constrains like a skip.
 		if k != nil {
-			g.l1(s.StmtR[k], nil, rS)
+			g.l1(rK, nil, rS)
 			g.genStmt(k)
-			g.l1(oS, nil, s.StmtO[k])
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS)},
-				Pairs:   []PairVar{s.StmtM[k]}})
+			g.l1(oS, nil, oK)
+			g.l2(mS, []CrossTerm{lcross(l, rS)}, mK)
 		} else {
 			g.l1(oS, nil, rS)
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS)}})
+			g.l2(mS, []CrossTerm{lcross(l, rS)})
 		}
 
 	case *syntax.While:
 		// Equations (68)–(71).
 		b := i.Body
-		g.l1(s.StmtR[b], nil, rS)
+		bl := b.Instr.Label()
+		g.l1(s.StmtR[bl], nil, rS)
 		g.genStmt(b)
-		crosses := []CrossTerm{g.lcross(l, s.StmtO[b]), g.scross(b, s.StmtO[b])}
+		crosses := []CrossTerm{lcross(l, s.StmtO[bl]), g.scross(b, s.StmtO[bl])}
 		if k != nil {
-			g.l1(s.StmtR[k], nil, s.StmtO[b])
+			g.l1(rK, nil, s.StmtO[bl])
 			g.genStmt(k)
-			g.l1(oS, nil, s.StmtO[k])
-			s.L2s = append(s.L2s, L2{LHS: mS, Crosses: crosses,
-				Pairs: []PairVar{s.StmtM[b], s.StmtM[k]}})
+			g.l1(oS, nil, oK)
+			g.l2(mS, crosses, s.StmtM[bl], mK)
 		} else {
-			g.l1(oS, nil, s.StmtO[b])
-			s.L2s = append(s.L2s, L2{LHS: mS, Crosses: crosses,
-				Pairs: []PairVar{s.StmtM[b]}})
+			g.l1(oS, nil, s.StmtO[bl])
+			g.l2(mS, crosses, s.StmtM[bl])
 		}
 
 	case *syntax.Async:
 		// Equations (72)–(75).
 		b := i.Body
+		bl := b.Instr.Label()
 		if k != nil {
-			g.l1(s.StmtR[b], g.in.Slabels(k), rS)
-			g.l1(s.StmtR[k], g.in.Slabels(b), rS)
+			g.l1(s.StmtR[bl], g.in.Slabels(k), rS)
+			g.l1(rK, g.in.Slabels(b), rS)
 			g.genStmt(b)
 			g.genStmt(k)
-			g.l1(oS, nil, s.StmtO[k])
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS)},
-				Pairs:   []PairVar{s.StmtM[b], s.StmtM[k]}})
+			g.l1(oS, nil, oK)
+			g.l2(mS, []CrossTerm{lcross(l, rS)}, s.StmtM[bl], mK)
 		} else {
-			g.l1(s.StmtR[b], nil, rS)
+			g.l1(s.StmtR[bl], nil, rS)
 			g.genStmt(b)
 			g.l1(oS, g.in.Slabels(b), rS)
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS)},
-				Pairs:   []PairVar{s.StmtM[b]}})
+			g.l2(mS, []CrossTerm{lcross(l, rS)}, s.StmtM[bl])
 		}
 
 	case *syntax.Finish:
 		// Equations (76)–(79).
 		b := i.Body
-		g.l1(s.StmtR[b], nil, rS)
+		bl := b.Instr.Label()
+		g.l1(s.StmtR[bl], nil, rS)
 		g.genStmt(b)
 		if k != nil {
-			g.l1(s.StmtR[k], nil, rS)
+			g.l1(rK, nil, rS)
 			g.genStmt(k)
-			g.l1(oS, nil, s.StmtO[k])
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS)},
-				Pairs:   []PairVar{s.StmtM[b], s.StmtM[k]}})
+			g.l1(oS, nil, oK)
+			g.l2(mS, []CrossTerm{lcross(l, rS)}, s.StmtM[bl], mK)
 		} else {
 			g.l1(oS, nil, rS)
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS)},
-				Pairs:   []PairVar{s.StmtM[b]}})
+			g.l2(mS, []CrossTerm{lcross(l, rS)}, s.StmtM[bl])
 		}
 
 	case *syntax.Call:
@@ -274,18 +316,15 @@ func (g *generator) genStmt(cur *syntax.Stmt) {
 		if s.Mode == ContextInsensitive {
 			s.Subsets = append(s.Subsets, Subset{Sup: s.MethodR[fi], Sub: rS})
 		}
+		crosses := []CrossTerm{lcross(l, rS), g.symcrossMethod(fi, rS)}
 		if k != nil {
-			g.l1(s.StmtR[k], nil, rS, s.MethodO[fi])
+			g.l1(rK, nil, rS, s.MethodO[fi])
 			g.genStmt(k)
-			g.l1(oS, nil, s.StmtO[k])
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS), g.symcrossMethod(fi, rS)},
-				Pairs:   []PairVar{s.MethodM[fi], s.StmtM[k]}})
+			g.l1(oS, nil, oK)
+			g.l2(mS, crosses, s.MethodM[fi], mK)
 		} else {
 			g.l1(oS, nil, rS, s.MethodO[fi])
-			s.L2s = append(s.L2s, L2{LHS: mS,
-				Crosses: []CrossTerm{g.lcross(l, rS), g.symcrossMethod(fi, rS)},
-				Pairs:   []PairVar{s.MethodM[fi]}})
+			g.l2(mS, crosses, s.MethodM[fi])
 		}
 	}
 }

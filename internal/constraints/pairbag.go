@@ -35,6 +35,28 @@ func crossSym(p *intset.PairSet, a, b *intset.Set, phase []int32) bool {
 	return changed
 }
 
+// addCross folds the cross term ct, whose variable has the value v,
+// into p through the phase filter, and reports change. An Lcross term
+// is a singleton cross: with phases, {l} × B keeps exactly B's labels
+// of unknown phase or of l's phase, which is what crossSym keeps for
+// A = {l}.
+func addCross(p *intset.PairSet, ct CrossTerm, v *intset.Set, phase []int32) bool {
+	if ct.Kind != KLcross {
+		return crossSym(p, ct.Const, v, phase)
+	}
+	l := int(ct.Label)
+	if phase == nil || phase[l] < 0 || v.Empty() {
+		return p.CrossSymLabel(l, v)
+	}
+	kept := intset.New(v.Universe())
+	v.Each(func(j int) {
+		if phase[j] < 0 || phase[j] == phase[l] {
+			kept.Add(j)
+		}
+	})
+	return p.CrossSymLabel(l, kept)
+}
+
 // splitByPhase partitions s into its unknown-phase labels and one set
 // per known phase code.
 func splitByPhase(s *intset.Set, phase []int32) (*intset.Set, map[int32]*intset.Set) {

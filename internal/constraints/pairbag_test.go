@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"fx10/internal/intset"
+	"fx10/internal/syntax"
 )
 
 // TestCrossSymPhaseFilter checks the phase-filtered crossSym against a
-// per-pair brute force on random operands and phase tables: unknown
+// per-pair brute force, and an Lcross term against crossSym with the
+// singleton set, on random operands and phase tables: unknown
 // (-1) entries mixed with several known phases, a table with every
 // phase unknown, one with every phase known, and a nil table. A pair
 // (i, j) of symcross(A, B) is kept unless both phases are known and
@@ -61,6 +63,20 @@ func TestCrossSymPhaseFilter(t *testing.T) {
 		}
 		if crossSym(got, a, b, phase) {
 			t.Fatalf("trial %d: repeated crossSym reported change", trial)
+		}
+
+		// An Lcross term folds exactly what crossSym does for the
+		// singleton operand {l}.
+		l := rng.Intn(n)
+		term, viaSet := intset.NewPairs(n), intset.NewPairs(n)
+		pre := [2]int{rng.Intn(n), rng.Intn(n)}
+		term.AddSym(pre[0], pre[1])
+		viaSet.AddSym(pre[0], pre[1])
+		wantChanged = crossSym(viaSet, intset.Of(n, l), b, phase)
+		ct := CrossTerm{Kind: KLcross, Label: syntax.Label(l)}
+		if changed := addCross(term, ct, b, phase); changed != wantChanged || !term.Equal(viaSet) {
+			t.Fatalf("trial %d: Lcross(%d, %v) = %v (changed %v), crossSym({%d}, …) = %v (changed %v)",
+				trial, l, b, term, changed, l, viaSet, wantChanged)
 		}
 	}
 }

@@ -33,14 +33,14 @@ func (sol *Solution) ClockPrunedMainPairs() *intset.PairSet {
 	// L2 constraints indexed by left-hand side, for the reachability
 	// walk. Every pair variable has at most one defining constraint
 	// today, but nothing below depends on that.
-	byLHS := make([][]int32, len(s.PairVarNames))
+	byLHS := make([][]int32, s.NumPairVars())
 	for ci := range s.L2s {
 		lhs := s.L2s[ci].LHS
 		byLHS[lhs] = append(byLHS[lhs], int32(ci))
 	}
 
 	root := s.MethodM[s.P.MainIndex]
-	seen := make([]bool, len(s.PairVarNames))
+	seen := make([]bool, s.NumPairVars())
 	seen[root] = true
 	stack := []PairVar{root}
 	for len(stack) > 0 {
@@ -50,7 +50,7 @@ func (sol *Solution) ClockPrunedMainPairs() *intset.PairSet {
 			c := &s.L2s[ci]
 			for _, ct := range c.Crosses {
 				val := sol.setVals[ct.Var]
-				ct.Const.Each(func(i int) {
+				ct.eachConst(func(i int) {
 					pi := code[i]
 					if pi < 0 {
 						return

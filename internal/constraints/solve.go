@@ -120,8 +120,8 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	n := s.P.NumLabels()
 	sol := &Solution{
 		sys:         s,
-		setVals:     make([]*intset.Set, len(s.SetVarNames)),
-		pairVals:    make([]*intset.PairSet, len(s.PairVarNames)),
+		setVals:     make([]*intset.Set, s.NumSetVars()),
+		pairVals:    make([]*intset.PairSet, s.NumPairVars()),
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
@@ -226,7 +226,7 @@ func (sol *Solution) l2Pass(evalCrosses bool) bool {
 		lhs := sol.pairVals[c.LHS]
 		if evalCrosses {
 			for _, ct := range c.Crosses {
-				if crossSym(lhs, ct.Const, sol.setVals[ct.Var], s.PhaseCode) {
+				if addCross(lhs, ct, sol.setVals[ct.Var], s.PhaseCode) {
 					changed = true
 				}
 			}
@@ -248,7 +248,7 @@ func (sol *Solution) solveL2() {
 		sol.checkCancel()
 		lhs := sol.pairVals[c.LHS]
 		for _, ct := range c.Crosses {
-			crossSym(lhs, ct.Const, sol.setVals[ct.Var], sol.sys.PhaseCode)
+			addCross(lhs, ct, sol.setVals[ct.Var], sol.sys.PhaseCode)
 		}
 	}
 	for {
@@ -290,14 +290,18 @@ func (sol *Solution) PairValue(v PairVar) *intset.PairSet {
 func (sol *Solution) PairLen(v PairVar) int { return sol.pairVals[v].Len() }
 
 // StmtR returns the solved r_s for a statement node.
-func (sol *Solution) StmtR(st *syntax.Stmt) *intset.Set { return sol.setVals[sol.sys.StmtR[st]] }
+func (sol *Solution) StmtR(st *syntax.Stmt) *intset.Set {
+	return sol.setVals[sol.sys.StmtR[st.Instr.Label()]]
+}
 
 // StmtO returns the solved o_s for a statement node.
-func (sol *Solution) StmtO(st *syntax.Stmt) *intset.Set { return sol.setVals[sol.sys.StmtO[st]] }
+func (sol *Solution) StmtO(st *syntax.Stmt) *intset.Set {
+	return sol.setVals[sol.sys.StmtO[st.Instr.Label()]]
+}
 
 // StmtM returns the solved m_s for a statement node (fresh copy).
 func (sol *Solution) StmtM(st *syntax.Stmt) *intset.PairSet {
-	return sol.PairValue(sol.sys.StmtM[st])
+	return sol.PairValue(sol.sys.StmtM[st.Instr.Label()])
 }
 
 // MethodSummary returns the solved (mᵢ, oᵢ) for a method as a type

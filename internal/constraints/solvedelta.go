@@ -195,8 +195,8 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 
 	sol := &Solution{
 		sys:         s,
-		setVals:     intset.NewBatch(n, len(s.SetVarNames)),
-		pairVals:    make([]*intset.PairSet, len(s.PairVarNames)),
+		setVals:     intset.NewBatch(n, s.NumSetVars()),
+		pairVals:    make([]*intset.PairSet, s.NumPairVars()),
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
@@ -481,7 +481,7 @@ func (sol *Solution) solveL1Restricted(inClosure []bool) {
 	}
 
 	// dependents[v] lists active positions reading set variable v.
-	dependents := sol.scratch.dependents(len(s.SetVarNames))
+	dependents := sol.scratch.dependents(s.NumSetVars())
 	for pos, ci := range active {
 		if int(ci) < len(s.L1s) {
 			for _, v := range s.L1s[ci].Vars {
@@ -550,7 +550,7 @@ func (sol *Solution) solveL2Restricted(inClosure []bool) {
 		}
 	}
 
-	dependents := sol.scratch.dependents(len(s.PairVarNames))
+	dependents := sol.scratch.dependents(s.NumPairVars())
 	for pos, ci := range active {
 		for _, v := range s.L2s[ci].Pairs {
 			dependents[v] = append(dependents[v], int32(pos))
@@ -563,7 +563,7 @@ func (sol *Solution) solveL2Restricted(inClosure []bool) {
 	for pos, ci := range active {
 		lhs := sol.pairVals[s.L2s[ci].LHS]
 		for _, ct := range s.L2s[ci].Crosses {
-			crossSym(lhs, ct.Const, sol.setVals[ct.Var], s.PhaseCode)
+			addCross(lhs, ct, sol.setVals[ct.Var], s.PhaseCode)
 		}
 		queue.push(int32(pos))
 		inQueue[pos] = true

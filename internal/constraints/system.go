@@ -63,13 +63,35 @@ const (
 	KSymcross
 )
 
-// CrossTerm is symcross(Const, value of Var): every cross term in the
-// generated constraints has one constant and one variable operand.
+// CrossTerm is symcross(constant, value of Var): every cross term in
+// the generated constraints has one constant and one variable operand.
+// An Lcross term's constant is the singleton {Label}, carried as the
+// label alone; the others carry it as the set Const.
 type CrossTerm struct {
-	Kind  CrossKind
-	Name  string // display text for the constant operand
+	Kind CrossKind
+	// Label is l for Lcross(l, v), and for Scross(s, v) the first
+	// label of s, which names it.
+	Label syntax.Label
+	// Method is fᵢ for symcross(Slabels(p(fᵢ)), v).
+	Method int
+	// Const is the constant operand of Scross and symcross terms; nil
+	// for Lcross.
 	Const *intset.Set
 	Var   SetVar
+}
+
+// constEmpty reports whether the term's constant operand is empty.
+func (ct *CrossTerm) constEmpty() bool {
+	return ct.Kind != KLcross && (ct.Const == nil || ct.Const.Empty())
+}
+
+// eachConst calls f on every label of the term's constant operand.
+func (ct *CrossTerm) eachConst(f func(int)) {
+	if ct.Kind == KLcross {
+		f(int(ct.Label))
+		return
+	}
+	ct.Const.Each(f)
 }
 
 // L1 is a level-1 constraint LHS = Const ∪ Vars[0] ∪ Vars[1] ∪ ….
@@ -103,17 +125,15 @@ type System struct {
 	Info *labels.Info
 	Mode Mode
 
-	SetVarNames  []string
-	PairVarNames []string
-
 	L1s     []L1
 	Subsets []Subset
 	L2s     []L2
 
-	// Per-statement variables, keyed by statement (suffix) node.
-	StmtR map[*syntax.Stmt]SetVar
-	StmtO map[*syntax.Stmt]SetVar
-	StmtM map[*syntax.Stmt]PairVar
+	// Per-statement variables, indexed by the label of the statement
+	// (suffix) node's first instruction.
+	StmtR []SetVar
+	StmtO []SetVar
+	StmtM []PairVar
 
 	// Per-method variables, indexed like Program.Methods.
 	MethodO []SetVar
@@ -147,6 +167,43 @@ type System struct {
 
 	methodSetVars  [][]SetVar
 	methodPairVars [][]PairVar
+
+	// What each variable belongs to, from which its name is derived
+	// (SetVarName, PairVarName): a statement variable holds its label,
+	// a method variable holds methodSrc of its method.
+	setVarSrc  []int32
+	pairVarSrc []int32
+}
+
+// methodSrc encodes method mi as a variable source, below every label.
+func methodSrc(mi int) int32 { return int32(-mi - 1) }
+
+// SetVarName returns the display name of a set variable: r_s or o_s
+// for statement s (named by its label), oᵢ or rᵢ for method fᵢ.
+func (s *System) SetVarName(v SetVar) string {
+	src := s.setVarSrc[v]
+	if src < 0 {
+		mi := int(-src - 1)
+		if s.MethodO[mi] == v {
+			return "o_" + s.P.Methods[mi].Name
+		}
+		return "r_" + s.P.Methods[mi].Name
+	}
+	l := syntax.Label(src)
+	if s.StmtR[l] == v {
+		return "r_" + s.P.LabelName(l)
+	}
+	return "o_" + s.P.LabelName(l)
+}
+
+// PairVarName returns the display name of a pair variable: m_s for
+// statement s, mᵢ for method fᵢ.
+func (s *System) PairVarName(v PairVar) string {
+	src := s.pairVarSrc[v]
+	if src < 0 {
+		return "m_" + s.P.Methods[-src-1].Name
+	}
+	return "m_" + s.P.LabelName(syntax.Label(src))
 }
 
 // Counts returns the constraint counts reported in Figure 6: the
@@ -158,10 +215,10 @@ func (s *System) Counts() (slabels, l1, l2 int) {
 }
 
 // NumSetVars returns the number of level-1 variables.
-func (s *System) NumSetVars() int { return len(s.SetVarNames) }
+func (s *System) NumSetVars() int { return len(s.setVarSrc) }
 
 // NumPairVars returns the number of level-2 variables.
-func (s *System) NumPairVars() int { return len(s.PairVarNames) }
+func (s *System) NumPairVars() int { return len(s.pairVarSrc) }
 
 // SetVarsOf returns method mi's set variables in ascending variable
 // order (shared slice; do not mutate).
@@ -177,30 +234,46 @@ func (s *System) PairVarsOf(mi MethodID) []PairVar { return s.methodPairVars[mi]
 // to the method it summarizes.
 func (s *System) buildPartition() {
 	p := s.P
-	s.SetVarOwner = make([]MethodID, len(s.SetVarNames))
-	s.PairVarOwner = make([]MethodID, len(s.PairVarNames))
-	for i := range p.Methods {
-		s.SetVarOwner[s.MethodO[i]] = i
-		s.PairVarOwner[s.MethodM[i]] = i
-		if s.MethodR != nil {
-			s.SetVarOwner[s.MethodR[i]] = i
+	owner := func(src int32) MethodID {
+		if src < 0 {
+			return int(-src - 1)
 		}
+		return p.Labels[src].Method
 	}
-	for st, v := range s.StmtR {
-		mi := p.Labels[st.Instr.Label()].Method
-		s.SetVarOwner[v] = mi
-		s.SetVarOwner[s.StmtO[st]] = mi
-		s.PairVarOwner[s.StmtM[st]] = mi
+	s.SetVarOwner = make([]MethodID, len(s.setVarSrc))
+	for v, src := range s.setVarSrc {
+		s.SetVarOwner[v] = owner(src)
 	}
-	s.methodSetVars = make([][]SetVar, len(p.Methods))
-	for v, mi := range s.SetVarOwner {
-		s.methodSetVars[mi] = append(s.methodSetVars[mi], SetVar(v))
+	s.PairVarOwner = make([]MethodID, len(s.pairVarSrc))
+	for v, src := range s.pairVarSrc {
+		s.PairVarOwner[v] = owner(src)
 	}
-	s.methodPairVars = make([][]PairVar, len(p.Methods))
-	for v, mi := range s.PairVarOwner {
-		s.methodPairVars[mi] = append(s.methodPairVars[mi], PairVar(v))
-	}
+	s.methodSetVars = groupByOwner[SetVar](s.SetVarOwner, len(p.Methods))
+	s.methodPairVars = groupByOwner[PairVar](s.PairVarOwner, len(p.Methods))
 	s.Calls = NewCallGraph(p)
+}
+
+// groupByOwner lists each method's variables in ascending order, as
+// slices of one backing array.
+func groupByOwner[V ~int](owners []MethodID, methods int) [][]V {
+	off := make([]int, methods+1)
+	for _, mi := range owners {
+		off[mi+1]++
+	}
+	for mi := 1; mi <= methods; mi++ {
+		off[mi] += off[mi-1]
+	}
+	all := make([]V, len(owners))
+	pos := append([]int(nil), off[:methods]...)
+	for v, mi := range owners {
+		all[pos[mi]] = V(v)
+		pos[mi]++
+	}
+	out := make([][]V, methods)
+	for mi := range out {
+		out[mi] = all[off[mi]:off[mi+1]:off[mi+1]]
+	}
+	return out
 }
 
 // labelSetString renders a constant label set with display names.
@@ -218,13 +291,13 @@ func (s *System) labelSetString(set *intset.Set) string {
 func (s *System) String() string {
 	var b strings.Builder
 	for _, c := range s.L1s {
-		fmt.Fprintf(&b, "%s = %s\n", s.SetVarNames[c.LHS], s.l1RHSString(c))
+		fmt.Fprintf(&b, "%s = %s\n", s.SetVarName(c.LHS), s.l1RHSString(c))
 	}
 	for _, c := range s.Subsets {
-		fmt.Fprintf(&b, "%s ⊆ %s\n", s.SetVarNames[c.Sub], s.SetVarNames[c.Sup])
+		fmt.Fprintf(&b, "%s ⊆ %s\n", s.SetVarName(c.Sub), s.SetVarName(c.Sup))
 	}
 	for _, c := range s.L2s {
-		fmt.Fprintf(&b, "%s = %s\n", s.PairVarNames[c.LHS], s.l2RHSString(c))
+		fmt.Fprintf(&b, "%s = %s\n", s.PairVarName(c.LHS), s.l2RHSString(c))
 	}
 	return b.String()
 }
@@ -235,7 +308,7 @@ func (s *System) l1RHSString(c L1) string {
 		parts = append(parts, s.labelSetString(c.Const))
 	}
 	for _, v := range c.Vars {
-		parts = append(parts, s.SetVarNames[v])
+		parts = append(parts, s.SetVarName(v))
 	}
 	if len(parts) == 0 {
 		return "{}"
@@ -248,15 +321,15 @@ func (s *System) l2RHSString(c L2) string {
 	for _, ct := range c.Crosses {
 		switch ct.Kind {
 		case KLcross:
-			parts = append(parts, fmt.Sprintf("Lcross(%s, %s)", ct.Name, s.SetVarNames[ct.Var]))
+			parts = append(parts, fmt.Sprintf("Lcross(%s, %s)", s.P.LabelName(ct.Label), s.SetVarName(ct.Var)))
 		case KScross:
-			parts = append(parts, fmt.Sprintf("Scross(%s, %s)", ct.Name, s.SetVarNames[ct.Var]))
+			parts = append(parts, fmt.Sprintf("Scross(%s, %s)", s.P.LabelName(ct.Label), s.SetVarName(ct.Var)))
 		default:
-			parts = append(parts, fmt.Sprintf("symcross(%s, %s)", ct.Name, s.SetVarNames[ct.Var]))
+			parts = append(parts, fmt.Sprintf("symcross(Slabels(%s), %s)", s.P.Methods[ct.Method].Name, s.SetVarName(ct.Var)))
 		}
 	}
 	for _, v := range c.Pairs {
-		parts = append(parts, s.PairVarNames[v])
+		parts = append(parts, s.PairVarName(v))
 	}
 	if len(parts) == 0 {
 		return "{}"

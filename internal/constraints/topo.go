@@ -129,7 +129,7 @@ func memberCSR(comp []int32, ncomp int32) graphCSR {
 // of v are subSrc.edges[subSrc.off[v]:subSrc.off[v+1]]), and g is the
 // dependency graph with edges source → LHS.
 func (s *System) l1Graph() (lhsL1 []int32, subSrc, g graphCSR) {
-	nv := len(s.SetVarNames)
+	nv := s.NumSetVars()
 	lhsL1 = make([]int32, nv)
 	for i := range lhsL1 {
 		lhsL1[i] = -1
@@ -186,7 +186,7 @@ func (s *System) l1Graph() (lhsL1 []int32, subSrc, g graphCSR) {
 // solveTopoL1 computes the level-1 least solution by SCC condensation.
 func (sol *Solution) solveTopoL1() {
 	s := sol.sys
-	nv := len(s.SetVarNames)
+	nv := s.NumSetVars()
 	if nv == 0 {
 		return
 	}
@@ -317,7 +317,7 @@ func (s *System) l1SingleInflow(m int32, cid int32, comp []int32, lhsL1 []int32,
 // duplicating it per variable.
 func (sol *Solution) solveTopoL2() {
 	s := sol.sys
-	np := len(s.PairVarNames)
+	np := s.NumPairVars()
 	if np == 0 {
 		return
 	}
@@ -349,7 +349,7 @@ func (sol *Solution) solveTopoL2() {
 // over pair variables only (level-1 is final by the time level-2
 // runs, so cross terms contribute no edges).
 func (s *System) l2Graph() (lhsL2 []int32, g graphCSR) {
-	np := len(s.PairVarNames)
+	np := s.NumPairVars()
 	lhsL2 = make([]int32, np)
 	for i := range lhsL2 {
 		lhsL2[i] = -1
@@ -393,7 +393,7 @@ func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, vals
 		sol.checkCancel()
 		c := &s.L2s[ci]
 		for _, ct := range c.Crosses {
-			crossSym(val, ct.Const, sol.setVals[ct.Var], s.PhaseCode)
+			addCross(val, ct, sol.setVals[ct.Var], s.PhaseCode)
 		}
 		for _, v := range c.Pairs {
 			if comp[v] != cid {
@@ -416,7 +416,7 @@ func (s *System) l2SingleInflow(m int32, cid int32, comp []int32, lhsL2 []int32,
 	}
 	c := &s.L2s[ci]
 	for _, ct := range c.Crosses {
-		if ct.Const != nil && !ct.Const.Empty() && !setVals[ct.Var].Empty() {
+		if !ct.constEmpty() && !setVals[ct.Var].Empty() {
 			return 0, false
 		}
 	}

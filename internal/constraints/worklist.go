@@ -86,7 +86,7 @@ func (sol *Solution) solveL1Worklist() {
 	// constraint ids: 0..len(L1s)-1 are equalities, then subsets.
 	total := len(s.L1s) + len(s.Subsets)
 	// dependents[v] lists the constraints that read set variable v.
-	dependents := sol.scratch.dependents(len(s.SetVarNames))
+	dependents := sol.scratch.dependents(s.NumSetVars())
 	for ci, c := range s.L1s {
 		for _, v := range c.Vars {
 			dependents[v] = append(dependents[v], int32(ci))
@@ -145,7 +145,7 @@ func (sol *Solution) solveL1Worklist() {
 // solved), then only pair-variable unions propagate.
 func (sol *Solution) solveL2Worklist() {
 	s := sol.sys
-	dependents := sol.scratch.dependents(len(s.PairVarNames))
+	dependents := sol.scratch.dependents(s.NumPairVars())
 	for ci, c := range s.L2s {
 		for _, v := range c.Pairs {
 			dependents[v] = append(dependents[v], int32(ci))
@@ -161,7 +161,7 @@ func (sol *Solution) solveL2Worklist() {
 		sol.checkCancel()
 		lhs := sol.pairVals[c.LHS]
 		for _, ct := range c.Crosses {
-			crossSym(lhs, ct.Const, sol.setVals[ct.Var], s.PhaseCode)
+			addCross(lhs, ct, sol.setVals[ct.Var], s.PhaseCode)
 		}
 		queue.push(int32(ci))
 		inQueue[ci] = true

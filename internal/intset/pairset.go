@@ -155,19 +155,61 @@ func (p *PairSet) CrossSym(a, b *Set) bool {
 			(p.lastA == b && p.genA == b.gen && p.lastB == a && p.genB == a.gen)) {
 		return false
 	}
-	prod := crossChunks(a, b)
-	var changed bool
-	if len(p.chunks) == 0 {
-		p.chunks = prod
-		for _, c := range prod {
-			p.count += bits.OnesCount64(c.bits)
-		}
-		changed = true
-	} else {
-		changed = p.merge(prod)
-	}
+	changed := p.fold(crossChunks(a, b))
 	p.memoOK, p.lastA, p.genA, p.lastB, p.genB = true, a, a.gen, b, b.gen
 	return changed
+}
+
+// CrossSymLabel adds symcross({l}, B) = ({l} × B) ∪ (B × {l}) to the
+// set and reports whether the set changed: CrossSym with a singleton
+// first operand, without the n-bit singleton set. Its chunks are one
+// per element of B for the column l, and B's nonzero words for row l.
+func (p *PairSet) CrossSymLabel(l int, b *Set) bool {
+	if b.n != p.n || l < 0 || l >= p.n {
+		panic(fmt.Sprintf("intset: CrossSymLabel(%d) universe mismatch (%d, %d)", l, b.n, p.n))
+	}
+	if b.count == 0 {
+		return false
+	}
+	nz := 0
+	for _, x := range b.words {
+		if x != 0 {
+			nz++
+		}
+	}
+	prod := make([]pairChunk, 0, b.count+nz)
+	col, bit := uint64(l/wordBits), uint64(1)<<uint(l%wordBits)
+	// Rows j < l, then row l (B's words, holding (l, l) if l ∈ B),
+	// then rows j > l.
+	b.Each(func(j int) {
+		if j < l {
+			prod = append(prod, pairChunk{uint64(j)<<32 | col, bit})
+		}
+	})
+	for k, x := range b.words {
+		if x != 0 {
+			prod = append(prod, pairChunk{uint64(l)<<32 | uint64(k), x})
+		}
+	}
+	b.Each(func(j int) {
+		if j > l {
+			prod = append(prod, pairChunk{uint64(j)<<32 | col, bit})
+		}
+	})
+	return p.fold(prod)
+}
+
+// fold ORs the sorted chunks q into p, adopting q when p is empty, and
+// reports whether p changed.
+func (p *PairSet) fold(q []pairChunk) bool {
+	if len(p.chunks) != 0 {
+		return p.merge(q)
+	}
+	p.chunks = q
+	for _, c := range q {
+		p.count += bits.OnesCount64(c.bits)
+	}
+	return len(q) > 0
 }
 
 // crossChunks returns the chunks of (A × B) ∪ (B × A) in key order:

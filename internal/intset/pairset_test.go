@@ -84,6 +84,33 @@ func TestCrossSymReference(t *testing.T) {
 	}
 }
 
+// TestCrossSymLabel: symcross({l}, B) built from the label alone equals
+// CrossSym with the singleton set — same pairs, same chunks, same
+// change report — for l inside, before, after and between B's
+// elements, with empty B, on empty and pre-filled sets.
+func TestCrossSymLabel(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(300)
+		b, _ := randomSet(rng, n, []float64{0, 0.01, 0.1, 0.5}[trial%4])
+		l := rng.Intn(n)
+		got, want := NewPairs(n), NewPairs(n)
+		for k := rng.Intn(3); k > 0; k-- {
+			i, j := rng.Intn(n), rng.Intn(n)
+			got.AddSym(i, j)
+			want.AddSym(i, j)
+		}
+		wantChanged := want.CrossSym(Of(n, l), b)
+		if changed := got.CrossSymLabel(l, b); changed != wantChanged || !got.Equal(want) {
+			t.Fatalf("trial %d: CrossSymLabel(%d, %v) = %v (changed %v), CrossSym = %v (changed %v)",
+				trial, l, b, got, changed, want, wantChanged)
+		}
+		if got.CrossSymLabel(l, b) {
+			t.Fatalf("trial %d: repeated CrossSymLabel reported change", trial)
+		}
+	}
+}
+
 func TestCrossSymChangeReporting(t *testing.T) {
 	const n = 32
 	a := Of(n, 1, 2)

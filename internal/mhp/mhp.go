@@ -7,14 +7,11 @@
 package mhp
 
 import (
-	"sort"
-
 	"fx10/internal/clocks"
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/explore"
 	"fx10/internal/intset"
-	"fx10/internal/labels"
 	"fx10/internal/syntax"
 )
 
@@ -127,56 +124,67 @@ type AsyncPair struct {
 // body may happen in parallel with some label of B's body. Pairs are
 // returned in (A, B) label order.
 func (r *Result) AsyncBodyPairs() []AsyncPair {
-	return asyncBodyPairs(r.Program, r.Info, r.M)
-}
-
-// lexicalLabels collects the labels syntactically inside s — unlike
-// Slabels it does not follow method calls, so two asyncs calling the
-// same helper do not share body labels. This is the body notion the
-// pair counts of Figure 8 are about: a pair of async *bodies*.
-func lexicalLabels(n int, s *syntax.Stmt) *intset.Set {
-	out := intset.New(n)
-	s.EachDeep(func(i syntax.Instr) { out.Add(int(i.Label())) })
-	return out
+	return asyncBodyPairs(r.Program, r.M)
 }
 
 // asyncBodyPairs is the shared classification core, also used against
-// ground-truth relations.
-func asyncBodyPairs(p *syntax.Program, in *labels.Info, m *intset.PairSet) []AsyncPair {
+// ground-truth relations. A body is the labels syntactically inside
+// an async — unlike Slabels it does not follow method calls, so two
+// asyncs calling the same helper do not share body labels. This is
+// the body notion the pair counts of Figure 8 are about: a pair of
+// async *bodies*.
+//
+// It makes one pass over m. The bodies enclosing a label are the
+// chain of its innermost enclosing async (LabelInfo.AsyncBody), that
+// async's own enclosing async, and so on; a pair (i, j) of m pairs
+// every body on i's chain with every body on j's chain.
+func asyncBodyPairs(p *syntax.Program, m *intset.PairSet) []AsyncPair {
 	asyncs := p.AsyncLabels()
-	bodies := make([]*intset.Set, len(asyncs))
-	for i, a := range asyncs {
-		bodies[i] = lexicalLabels(p.NumLabels(), syntax.Body(p.Labels[a].Instr))
+	index := make([]int32, p.NumLabels()) // async label → position in asyncs
+	for k, a := range asyncs {
+		index[a] = int32(k)
 	}
-	var out []AsyncPair
-	for i, a := range asyncs {
-		for j := i; j < len(asyncs); j++ {
-			b := asyncs[j]
-			if !crossIntersects(m, bodies[i], bodies[j]) {
-				continue
+	// partners[k] holds the async indices k' ≥ k whose body pairs
+	// with body k.
+	partners := make([]*intset.Set, len(asyncs))
+	total := 0
+	m.Each(func(i, j int) {
+		for a := p.Labels[i].AsyncBody; a != syntax.NoLabel; a = p.Labels[a].AsyncBody {
+			ka := index[a]
+			for b := p.Labels[j].AsyncBody; b != syntax.NoLabel; b = p.Labels[b].AsyncBody {
+				if kb := index[b]; kb >= ka {
+					if partners[ka] == nil {
+						partners[ka] = intset.New(len(asyncs))
+					}
+					if partners[ka].Add(int(kb)) {
+						total++
+					}
+				}
 			}
+		}
+	})
+	if total == 0 {
+		return nil
+	}
+	out := make([]AsyncPair, 0, total)
+	for ka, ps := range partners {
+		if ps == nil {
+			continue
+		}
+		a := asyncs[ka]
+		ps.Each(func(kb int) {
+			b := asyncs[kb]
 			cat := Diff
 			switch {
-			case i == j:
+			case ka == kb:
 				cat = Self
 			case p.Labels[a].Method == p.Labels[b].Method:
 				cat = Same
 			}
 			out = append(out, AsyncPair{A: a, B: b, Category: cat})
-		}
+		})
 	}
 	return out
-}
-
-// crossIntersects reports whether m contains any pair from a × b.
-func crossIntersects(m *intset.PairSet, a, b *intset.Set) bool {
-	found := false
-	a.Each(func(i int) {
-		if !found && m.RowIntersects(i, b) {
-			found = true
-		}
-	})
-	return found
 }
 
 // PairCounts is the Figure 8 pair-count row.
@@ -209,93 +217,78 @@ type RaceCandidate struct {
 	WriteWrite bool // both sides write
 }
 
-// access describes one instruction's array accesses.
-type access struct {
-	label  syntax.Label
-	reads  []int
-	writes []int
-}
-
 // RaceCandidates reports the potential data races implied by M, in
 // deterministic order. This is the "basis for race detectors" client
 // the paper motivates: MHP ∧ same index ∧ a write.
+//
+// Candidates are sorted by (L1, L2, Index), where L1 is the access
+// that comes first in EachInstr order (method, then source order).
 func (r *Result) RaceCandidates() []RaceCandidate {
-	var accs []access
-	r.Program.EachInstr(func(_ int, i syntax.Instr) {
+	return raceCandidates(r.Program, r.M)
+}
+
+// access is one instruction's array accesses: an assignment writes
+// one index and may read one, a while guard reads one; -1 is none.
+// pos is the instruction's EachInstr position, -1 for instructions
+// that touch no array.
+type access struct {
+	pos, write, read int32
+}
+
+// raceCandidates makes one pass over m. Each ordered pair (i, j) with
+// both ends accesses is taken in the orientation where i comes first
+// in EachInstr order, so row-major order already is (L1, L2) order.
+func raceCandidates(p *syntax.Program, m *intset.PairSet) []RaceCandidate {
+	accs := make([]access, p.NumLabels())
+	for l := range accs {
+		accs[l].pos = -1
+	}
+	var pos int32
+	p.EachInstr(func(_ int, i syntax.Instr) {
 		switch i := i.(type) {
 		case *syntax.Assign:
-			a := access{label: i.L, writes: []int{i.D}}
+			a := access{pos: pos, write: int32(i.D), read: -1}
 			if plus, ok := i.Rhs.(syntax.Plus); ok {
-				a.reads = append(a.reads, plus.D)
+				a.read = int32(plus.D)
 			}
-			accs = append(accs, a)
+			accs[i.L] = a
+			pos++
 		case *syntax.While:
-			accs = append(accs, access{label: i.L, reads: []int{i.D}})
+			accs[i.L] = access{pos: pos, write: -1, read: int32(i.D)}
+			pos++
 		}
 	})
 	var out []RaceCandidate
-	for i := range accs {
-		for j := i; j < len(accs); j++ {
-			a, b := accs[i], accs[j]
-			if !r.M.Has(int(a.label), int(b.label)) {
-				continue
-			}
-			for _, idx := range raceIndices(a, b) {
-				out = append(out, RaceCandidate{
-					L1: a.label, L2: b.label, Index: idx.index, WriteWrite: idx.ww,
-				})
-			}
+	m.Each(func(i, j int) {
+		a, b := accs[i], accs[j]
+		if a.pos < 0 || b.pos < 0 || a.pos > b.pos {
+			return
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].L1 != out[j].L1 {
-			return out[i].L1 < out[j].L1
-		}
-		if out[i].L2 != out[j].L2 {
-			return out[i].L2 < out[j].L2
-		}
-		return out[i].Index < out[j].Index
+		out = appendRaces(out, syntax.Label(i), syntax.Label(j), a, b)
 	})
 	return out
 }
 
-type raceIdx struct {
-	index int
-	ww    bool
-}
-
-// raceIndices returns the indices where a and b conflict (write/write
-// or write/read in either direction), deduplicated.
-func raceIndices(a, b access) []raceIdx {
-	seen := map[int]raceIdx{}
-	for _, wa := range a.writes {
-		for _, wb := range b.writes {
-			if wa == wb {
-				seen[wa] = raceIdx{index: wa, ww: true}
-			}
-		}
-		for _, rb := range b.reads {
-			if wa == rb {
-				if _, ok := seen[wa]; !ok {
-					seen[wa] = raceIdx{index: wa}
-				}
-			}
-		}
+// appendRaces appends the indices where a and b conflict — write/write,
+// or write/read in either direction — in index order, once each; a
+// write/write conflict wins over a write/read one on the same index.
+func appendRaces(out []RaceCandidate, l1, l2 syntax.Label, a, b access) []RaceCandidate {
+	// a's write against b's write or read; b's write against a's
+	// read, unless that is the index already reported.
+	wa := a.write >= 0 && (a.write == b.write || a.write == b.read)
+	wb := b.write >= 0 && b.write == a.read && !(wa && b.write == a.write)
+	x := RaceCandidate{L1: l1, L2: l2, Index: int(a.write), WriteWrite: a.write == b.write}
+	y := RaceCandidate{L1: l1, L2: l2, Index: int(b.write)}
+	switch {
+	case wa && wb && y.Index < x.Index:
+		return append(out, y, x)
+	case wa && wb:
+		return append(out, x, y)
+	case wa:
+		return append(out, x)
+	case wb:
+		return append(out, y)
 	}
-	for _, wb := range b.writes {
-		for _, ra := range a.reads {
-			if wb == ra {
-				if _, ok := seen[wb]; !ok {
-					seen[wb] = raceIdx{index: wb}
-				}
-			}
-		}
-	}
-	var out []raceIdx
-	for _, v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].index < out[j].index })
 	return out
 }
 
@@ -336,7 +329,7 @@ func (r *Result) CheckFalsePositives(a0 []int64, maxStates int) FalsePositiveRep
 	}
 	rep := FalsePositiveReport{
 		Complete:       complete,
-		ExactPairs:     asyncBodyPairs(r.Program, r.Info, exactM),
+		ExactPairs:     asyncBodyPairs(r.Program, exactM),
 		InferredPairs:  r.AsyncBodyPairs(),
 		SoundnessHolds: !complete || exactM.SubsetOf(r.M),
 	}

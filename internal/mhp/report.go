@@ -4,8 +4,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
-	"sort"
 
+	"fx10/internal/intset"
 	"fx10/internal/syntax"
 )
 
@@ -106,60 +106,71 @@ func (r *Result) Report() Report {
 	}
 	rep.Constraints.Slabels, rep.Constraints.Level1, rep.Constraints.Level2 = r.Sys.Counts()
 
-	// Collect, then sort by label index: Each already iterates rows
-	// ascending, but the sort makes byte-stability independent of the
-	// pair-set representation.
-	var raw [][2]int
-	r.M.Each(func(i, j int) {
-		if i <= j {
-			raw = append(raw, [2]int{i, j})
-		}
-	})
-	sort.Slice(raw, func(a, b int) bool {
-		if raw[a][0] != raw[b][0] {
-			return raw[a][0] < raw[b][0]
-		}
-		return raw[a][1] < raw[b][1]
-	})
-	for _, pr := range raw {
-		rep.Pairs = append(rep.Pairs, LabelPair{A: name(syntax.Label(pr[0])), B: name(syntax.Label(pr[1]))})
+	// Each is row-major, so taking i ≤ j in Each order yields the
+	// pairs sorted by label index.
+	if k := upperPairs(r.M, p.NumLabels()); k > 0 {
+		rep.Pairs = make([]LabelPair, 0, k)
+		r.M.Each(func(i, j int) {
+			if i <= j {
+				rep.Pairs = append(rep.Pairs, LabelPair{A: name(syntax.Label(i)), B: name(syntax.Label(j))})
+			}
+		})
 	}
 
 	asyncPairs := r.AsyncBodyPairs()
 	rep.PairCounts = CountPairs(asyncPairs)
-	for _, ap := range asyncPairs {
-		rep.AsyncPairs = append(rep.AsyncPairs, AsyncPairJ{
-			A: name(ap.A), B: name(ap.B), Category: ap.Category.String(),
-		})
+	if len(asyncPairs) > 0 {
+		rep.AsyncPairs = make([]AsyncPairJ, len(asyncPairs))
+		for k, ap := range asyncPairs {
+			rep.AsyncPairs[k] = AsyncPairJ{A: name(ap.A), B: name(ap.B), Category: ap.Category.String()}
+		}
 	}
 
-	for _, rc := range r.RaceCandidates() {
-		rep.Races = append(rep.Races, RaceJ{
-			A: name(rc.L1), B: name(rc.L2), Index: rc.Index, WriteWrite: rc.WriteWrite,
-		})
+	if races := r.RaceCandidates(); len(races) > 0 {
+		rep.Races = make([]RaceJ, len(races))
+		for k, rc := range races {
+			rep.Races[k] = RaceJ{A: name(rc.L1), B: name(rc.L2), Index: rc.Index, WriteWrite: rc.WriteWrite}
+		}
 	}
 
 	if codes := r.Sys.PhaseCode; codes != nil {
 		cl := &ClocksJ{}
-		for l, c := range codes {
-			cl.Phases = append(cl.Phases, LabelPhaseJ{Label: name(syntax.Label(l)), Phase: int(c)})
-		}
-		r.Sol.ClockPrunedMainPairs().Each(func(i, j int) {
-			if i <= j {
-				cl.PrunedPairs++
+		if len(codes) > 0 {
+			cl.Phases = make([]LabelPhaseJ, len(codes))
+			for l, c := range codes {
+				cl.Phases[l] = LabelPhaseJ{Label: name(syntax.Label(l)), Phase: int(c)}
 			}
-		})
+		}
+		cl.PrunedPairs = upperPairs(r.Sol.ClockPrunedMainPairs(), p.NumLabels())
 		rep.Clocks = cl
 	}
 
+	if len(p.Methods) > 0 {
+		rep.Summaries = make([]SummaryJ, len(p.Methods))
+	}
 	for mi, m := range p.Methods {
 		s := SummaryJ{Method: m.Name, MPairs: r.Sol.PairLen(r.Sys.MethodM[mi])}
-		r.Sol.SetValue(r.Sys.MethodO[mi]).Each(func(e int) {
-			s.Outlives = append(s.Outlives, name(syntax.Label(e)))
-		})
-		rep.Summaries = append(rep.Summaries, s)
+		if o := r.Sol.SetValue(r.Sys.MethodO[mi]); !o.Empty() {
+			s.Outlives = make([]string, 0, o.Len())
+			o.Each(func(e int) {
+				s.Outlives = append(s.Outlives, name(syntax.Label(e)))
+			})
+		}
+		rep.Summaries[mi] = s
 	}
 	return rep
+}
+
+// upperPairs counts the pairs (i, j) of a symmetric m with i ≤ j:
+// half its ordered pairs plus half its diagonal.
+func upperPairs(m *intset.PairSet, n int) int {
+	diag := 0
+	for l := 0; l < n; l++ {
+		if m.Has(l, l) {
+			diag++
+		}
+	}
+	return (m.Len() + diag) / 2
 }
 
 // WriteJSON writes the report as indented JSON.

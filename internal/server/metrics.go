@@ -33,6 +33,9 @@ type Metrics struct {
 	inflight   *expvar.Int // requests holding a worker slot
 	sessions   *expvar.Int // live delta sessions
 
+	sessionsCreated *expvar.Int // delta sessions started
+	sessionsEvicted *expvar.Int // delta sessions dropped by the LRU bound
+
 	coalesced *expvar.Int // requests served by joining another's solve
 	solves    *expvar.Int // engine solves actually started
 	overload  *expvar.Int // requests rejected 429 at admission
@@ -51,21 +54,23 @@ type Metrics struct {
 // when no persistent store is configured).
 func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore.Stats, bool)) *Metrics {
 	m := &Metrics{
-		vars:          new(expvar.Map).Init(),
-		requests:      new(expvar.Map).Init(),
-		responses:     new(expvar.Map).Init(),
-		queueDepth:    new(expvar.Int),
-		inflight:      new(expvar.Int),
-		sessions:      new(expvar.Int),
-		coalesced:     new(expvar.Int),
-		solves:        new(expvar.Int),
-		overload:      new(expvar.Int),
-		canceled:      new(expvar.Int),
-		batches:       new(expvar.Int),
-		batchPrograms: new(expvar.Int),
-		queueWait:     NewHistogram(),
-		solveLatency:  NewHistogram(),
-		reqLatency:    NewHistogram(),
+		vars:            new(expvar.Map).Init(),
+		requests:        new(expvar.Map).Init(),
+		responses:       new(expvar.Map).Init(),
+		queueDepth:      new(expvar.Int),
+		inflight:        new(expvar.Int),
+		sessions:        new(expvar.Int),
+		sessionsCreated: new(expvar.Int),
+		sessionsEvicted: new(expvar.Int),
+		coalesced:       new(expvar.Int),
+		solves:          new(expvar.Int),
+		overload:        new(expvar.Int),
+		canceled:        new(expvar.Int),
+		batches:         new(expvar.Int),
+		batchPrograms:   new(expvar.Int),
+		queueWait:       NewHistogram(),
+		solveLatency:    NewHistogram(),
+		reqLatency:      NewHistogram(),
 	}
 	start := time.Now()
 	m.vars.Set("requests", m.requests)
@@ -73,6 +78,8 @@ func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore
 	m.vars.Set("queueDepth", m.queueDepth)
 	m.vars.Set("inflight", m.inflight)
 	m.vars.Set("sessions", m.sessions)
+	m.vars.Set("sessionsCreated", m.sessionsCreated)
+	m.vars.Set("sessionsEvicted", m.sessionsEvicted)
 	m.vars.Set("coalesced", m.coalesced)
 	m.vars.Set("solves", m.solves)
 	m.vars.Set("overload", m.overload)

@@ -473,9 +473,11 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "mode or language differs from the session's")
 		return
 	}
-	_ = created
+	if created {
+		s.metrics.sessionsCreated.Add(1)
+	}
+	s.metrics.sessionsEvicted.Add(int64(evicted))
 	s.metrics.sessions.Set(int64(s.sessions.len()))
-	_ = evicted
 
 	// Serialize edits within the session; the base advances edit by
 	// edit. The lock is held across the solve on purpose: delta
@@ -627,10 +629,11 @@ func (s *Server) writeError(w http.ResponseWriter, status int, kind, msg string)
 	writeJSON(w, status, ErrorResponse{Error: ErrorDetail{Kind: kind, Message: msg}})
 }
 
+// writeJSON writes v as compact JSON plus a newline. Compact bodies
+// are the indented encoding minus its whitespace (json.Compact of
+// it), at well under half the bytes for a large report.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -601,10 +601,17 @@ func TestHammer(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{MaxSessions: 2})
 	src := syntax.Print(mustWorkload(t, "series").Program())
 	postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: src})
 	postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: src})
+	// Three sessions through a two-session store: three created, the
+	// first evicted; a repeat request on a live session creates none.
+	for _, id := range []string{"a", "b", "b", "c"} {
+		if status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/delta", DeltaRequest{Session: id, Source: src}); status != http.StatusOK {
+			t.Fatalf("delta %s: %d: %s", id, status, data)
+		}
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -619,6 +626,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, key := range []string{"requests", "responses", "solves", "cache", "requestLatencyMs", "uptimeSeconds"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("/metrics missing %q\n%s", key, data)
+		}
+	}
+	for key, want := range map[string]float64{"sessions": 2, "sessionsCreated": 3, "sessionsEvicted": 1} {
+		if got, ok := m[key].(float64); !ok || got != want {
+			t.Errorf("/metrics %s = %v, want %v", key, m[key], want)
 		}
 	}
 	if _, ok := m["shard"]; ok {

@@ -40,11 +40,13 @@
 package sumstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"fx10/internal/types"
@@ -544,7 +546,15 @@ func (s *Store) snapshotLocked() error {
 	body := make([]byte, 0, 16+len(s.index)*(32+8+4))
 	body = binary.LittleEndian.AppendUint64(body, uint64(s.size))
 	body = binary.LittleEndian.AppendUint64(body, uint64(len(s.index)))
-	for k, loc := range s.index {
+	// Entries in log order, so the same log always snapshots to the
+	// same bytes.
+	keys := make([]Key, 0, len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b Key) int { return cmp.Compare(s.index[a].off, s.index[b].off) })
+	for _, k := range keys {
+		loc := s.index[k]
 		body = append(body, k[:]...)
 		body = binary.LittleEndian.AppendUint64(body, uint64(loc.off))
 		body = binary.LittleEndian.AppendUint32(body, uint32(loc.n))

@@ -1,6 +1,7 @@
 package sumstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"os"
@@ -118,6 +119,37 @@ func TestStorePutGetPersist(t *testing.T) {
 	}
 	if _, ok := st2.Get(keyOf(999)); ok {
 		t.Error("phantom key present")
+	}
+}
+
+// TestSnapshotDeterministic: two stores fed the same puts write
+// byte-identical logs and index snapshots — the index lists its
+// entries in log order, not in map order.
+func TestSnapshotDeterministic(t *testing.T) {
+	var dirs [2]string
+	for d := range dirs {
+		dirs[d] = t.TempDir()
+		st, err := Open(dirs[d])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 64; i++ {
+			st.Put(keyOf(i*7919%1000), randSummary(rng))
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{logName, indexName} {
+		a, errA := os.ReadFile(filepath.Join(dirs[0], name))
+		b, errB := os.ReadFile(filepath.Join(dirs[1], name))
+		if errA != nil || errB != nil {
+			t.Fatalf("read %s: %v, %v", name, errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two stores fed the same puts", name)
+		}
 	}
 }
 

@@ -49,12 +49,14 @@ type hashMemo struct {
 }
 
 // Hash returns the program's content hash: sha256 of the canonical
-// printed form (which round-trips through the parser). It is computed
-// once and memoized, so cache keying does not re-walk the AST on
-// every lookup.
+// printed form (which round-trips through the parser), streamed into
+// the digest rather than built as one string. It is computed once and
+// memoized, so cache keying does not re-walk the AST on every lookup.
 func (p *Program) Hash() ProgramHash {
 	p.hashes.progOnce.Do(func() {
-		p.hashes.prog = sha256.Sum256([]byte(Print(p)))
+		h := sha256.New()
+		writeProgram(h, p)
+		h.Sum(p.hashes.prog[:0])
 	})
 	return p.hashes.prog
 }

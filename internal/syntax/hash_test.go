@@ -1,6 +1,8 @@
 package syntax_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"fx10/internal/parser"
@@ -258,5 +260,63 @@ func TestPrintReparseRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: method %q content hash changed across round-trip", seed, m.Name)
 			}
 		}
+	}
+}
+
+// TestHashStreamsPrint: Hash digests the printed form as it streams,
+// so it equals sha256 of Print, and Print's bytes are pinned: every
+// instruction form at several depths, and a corpus digest that spans
+// many printer chunks (the huge program's text is far over one).
+func TestHashStreamsPrint(t *testing.T) {
+	b := syntax.NewBuilder(8)
+	b.MustAddMethod("f", b.Stmts(b.Next("N")))
+	b.MustAddMethod("main", b.Stmts(
+		b.Finish("F", b.Stmts(
+			b.AsyncAt("P", 3, b.Stmts(b.Assign("X", 1, syntax.Const{C: -7}))),
+			b.ClockedAsync("C", b.Stmts(b.Call("G", "f"))),
+		)),
+		b.While("W", 2, b.Stmts(b.Assign("Y", 0, syntax.Plus{D: 5}), b.Skip("S"))),
+	))
+	p := b.MustProgram()
+	const want = `array 8;
+
+void f() {
+  N: next;
+}
+
+void main() {
+  F: finish {
+    P: async at (3) {
+      X: a[1] = -7;
+    }
+    C: clocked async {
+      G: f();
+    }
+  }
+  W: while (a[2] != 0) {
+    Y: a[0] = a[5] + 1;
+    S: skip;
+  }
+}
+`
+	if got := syntax.Print(p); got != want {
+		t.Fatalf("Print:\n%s\nwant:\n%s", got, want)
+	}
+
+	corpus := []*syntax.Program{p, progen.GenerateHuge(1, progen.Huge(2000))}
+	for seed := int64(0); seed < 40; seed++ {
+		corpus = append(corpus, progen.Generate(seed, progen.Default()), progen.Generate(seed, progen.ClockedFinite()))
+	}
+	all := sha256.New()
+	for i, q := range corpus {
+		text := syntax.Print(q)
+		if q.Hash() != sha256.Sum256([]byte(text)) {
+			t.Fatalf("program %d: Hash is not sha256 of Print", i)
+		}
+		all.Write([]byte(text))
+	}
+	const pinned = "3ddcbf99da029a6bdaa06ae35173030b6d6a9094b7944ca3353409e4018d127c"
+	if got := hex.EncodeToString(all.Sum(nil)); got != pinned {
+		t.Errorf("corpus print digest = %s, want %s", got, pinned)
 	}
 }

@@ -2,6 +2,8 @@ package syntax
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 )
 
@@ -11,66 +13,132 @@ import (
 // verbatim).
 func Print(p *Program) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "array %d;\n\n", p.ArrayLen)
+	writeProgram(&b, p)
+	return b.String()
+}
+
+// writeProgram streams Print(p) to w, which is how Hash digests the
+// printed form without holding all of it.
+func writeProgram(w io.Writer, p *Program) {
+	pr := &printer{p: p, w: w, buf: make([]byte, 0, printChunk)}
+	pr.put("array ")
+	pr.num(int64(p.ArrayLen))
+	pr.put(";\n\n")
 	for mi, m := range p.Methods {
 		if mi > 0 {
-			b.WriteByte('\n')
+			pr.put("\n")
 		}
-		fmt.Fprintf(&b, "void %s() {\n", m.Name)
-		printStmt(&b, p, m.Body, 1)
-		b.WriteString("}\n")
+		pr.put("void ")
+		pr.put(m.Name)
+		pr.put("() {\n")
+		pr.stmt(m.Body, 1)
+		pr.put("}\n")
 	}
-	return b.String()
+	pr.flush()
 }
 
 // PrintStmt renders one statement in concrete syntax at the given
 // indent depth. Useful for diagnostics and tree display.
 func PrintStmt(p *Program, s *Stmt) string {
 	var b strings.Builder
-	printStmt(&b, p, s, 0)
+	pr := &printer{p: p, w: &b}
+	pr.stmt(s, 0)
+	pr.flush()
 	return b.String()
 }
 
-func printStmt(b *strings.Builder, p *Program, s *Stmt, depth int) {
-	for cur := s; cur != nil; cur = cur.Next {
-		printInstr(b, p, cur.Instr, depth)
+// printChunk is how many bytes the printer buffers before writing.
+const printChunk = 4096
+
+// printer appends concrete syntax to buf and hands it to w in chunks
+// of about printChunk bytes.
+type printer struct {
+	p   *Program
+	w   io.Writer
+	buf []byte
+}
+
+func (pr *printer) put(s string) { pr.buf = append(pr.buf, s...) }
+
+func (pr *printer) num(v int64) { pr.buf = strconv.AppendInt(pr.buf, v, 10) }
+
+func (pr *printer) indent(depth int) {
+	for ; depth > 0; depth-- {
+		pr.put("  ")
 	}
 }
 
-func printInstr(b *strings.Builder, p *Program, i Instr, depth int) {
-	ind := strings.Repeat("  ", depth)
-	lbl := p.LabelName(i.Label())
+func (pr *printer) flush() {
+	// w is a strings.Builder or a hash, whose Write never fails.
+	_, _ = pr.w.Write(pr.buf)
+	pr.buf = pr.buf[:0]
+}
+
+func (pr *printer) stmt(s *Stmt, depth int) {
+	for cur := s; cur != nil; cur = cur.Next {
+		pr.instr(cur.Instr, depth)
+		if len(pr.buf) >= printChunk {
+			pr.flush()
+		}
+	}
+}
+
+// block prints " {", the body one level deeper, and the closing brace.
+func (pr *printer) block(body *Stmt, depth int) {
+	pr.put(" {\n")
+	pr.stmt(body, depth+1)
+	pr.indent(depth)
+	pr.put("}\n")
+}
+
+func (pr *printer) instr(i Instr, depth int) {
+	pr.indent(depth)
+	pr.put(pr.p.LabelName(i.Label()))
+	pr.put(": ")
 	switch i := i.(type) {
 	case *Skip:
-		fmt.Fprintf(b, "%s%s: skip;\n", ind, lbl)
+		pr.put("skip;\n")
 	case *Assign:
-		fmt.Fprintf(b, "%s%s: a[%d] = %s;\n", ind, lbl, i.D, i.Rhs)
+		pr.put("a[")
+		pr.num(int64(i.D))
+		pr.put("] = ")
+		switch e := i.Rhs.(type) {
+		case Const:
+			pr.num(e.C)
+		case Plus:
+			pr.put("a[")
+			pr.num(int64(e.D))
+			pr.put("] + 1")
+		default:
+			pr.buf = fmt.Appendf(pr.buf, "%s", e)
+		}
+		pr.put(";\n")
 	case *While:
-		fmt.Fprintf(b, "%s%s: while (a[%d] != 0) {\n", ind, lbl, i.D)
-		printStmt(b, p, i.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		pr.put("while (a[")
+		pr.num(int64(i.D))
+		pr.put("] != 0)")
+		pr.block(i.Body, depth)
 	case *Async:
-		kw := "async"
 		if i.Clocked {
-			kw = "clocked async"
+			pr.put("clocked ")
 		}
+		pr.put("async")
 		if i.Place != 0 {
-			fmt.Fprintf(b, "%s%s: %s at (%d) {\n", ind, lbl, kw, i.Place)
-		} else {
-			fmt.Fprintf(b, "%s%s: %s {\n", ind, lbl, kw)
+			pr.put(" at (")
+			pr.num(int64(i.Place))
+			pr.put(")")
 		}
-		printStmt(b, p, i.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		pr.block(i.Body, depth)
 	case *Finish:
-		fmt.Fprintf(b, "%s%s: finish {\n", ind, lbl)
-		printStmt(b, p, i.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		pr.put("finish")
+		pr.block(i.Body, depth)
 	case *Call:
-		fmt.Fprintf(b, "%s%s: %s();\n", ind, lbl, i.Name)
+		pr.put(i.Name)
+		pr.put("();\n")
 	case *Next:
-		fmt.Fprintf(b, "%s%s: next;\n", ind, lbl)
+		pr.put("next;\n")
 	default:
-		fmt.Fprintf(b, "%s%s: ???;\n", ind, lbl)
+		pr.put("???;\n")
 	}
 }
 
