@@ -40,7 +40,7 @@ solverbench:
 	$(GO) run ./cmd/mhpbench -figure solver -benchjson BENCH_solver.json
 
 # incrementalbench regenerates the committed edit-one-method sweep
-# (incremental re-analysis vs from scratch).
+# (engine.AnalyzeDelta vs from scratch).
 incrementalbench:
 	$(GO) run ./cmd/mhpbench -figure incremental -benchjson BENCH_incremental.json
 

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	mhpbench [-figure NAME,...] [-parallel N] [-strategy NAME] [-benchjson FILE] [-n N]
+//	mhpbench [-figure NAME,...] [-parallel N] [-benchjson FILE] [-n N]
 //
 // -figure takes a comma-separated subset of the known figures; the
 // one authoritative list is the figures slice below, which also
@@ -15,13 +15,13 @@
 // this comment does not enumerate it. Highlights: the solver figure
 // races the registered solving strategies on the 13-benchmark corpus;
 // the incremental figure sweeps single-method edits and compares
-// incremental re-analysis (engine.AnalyzeDelta) against solving from
-// scratch; the clocked figure compares clock-blind and clock-aware
-// pair counts over a generated clocked corpus (-n programs); the
-// gofront figure sweeps the committed Go corpus (-gocorpus) through
-// the real-Go front end and reports lowering coverage and pair
-// counts, failing if any runtime-observed pair escapes the static
-// relation. -benchjson additionally writes the selected sweep
+// engine.AnalyzeDelta (a full analyze plus the method-hash diff)
+// against solving from scratch; the clocked figure compares
+// clock-blind and clock-aware pair counts over a generated clocked
+// corpus (-n programs); the gofront figure sweeps the committed Go
+// corpus (-gocorpus) through the real-Go front end and reports
+// lowering coverage and pair counts, failing if any runtime-observed
+// pair escapes the static relation. -benchjson additionally writes the selected sweep
 // machine-readably (the committed BENCH_solver.json /
 // BENCH_incremental.json / BENCH_clocked.json / BENCH_store.json /
 // BENCH_gofront.json / BENCH_fleet.json; the store figure measures
@@ -61,12 +61,11 @@ func figureList() string { return "all, " + strings.Join(figures, ", ") }
 func main() {
 	figure := flag.String("figure", "all", "which figure(s) to regenerate, comma-separated: "+figureList())
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the corpus sweep")
-	strategy := flag.String("strategy", "", "solver strategy for the incremental figure (default: "+engine.DefaultStrategy+")")
 	benchjson := flag.String("benchjson", "", "with -figure solver, incremental or clocked: also write the sweep as JSON to this file")
 	n := flag.Int("n", 40, "generated programs for the clocked figure")
 	gocorpus := flag.String("gocorpus", "testdata/goprograms", "Go corpus directory for the gofront figure")
 	flag.Parse()
-	if err := run(*figure, *parallel, *strategy, *benchjson, *n, *gocorpus); err != nil {
+	if err := run(*figure, *parallel, *benchjson, *n, *gocorpus); err != nil {
 		fmt.Fprintln(os.Stderr, "mhpbench:", err)
 		os.Exit(exitCode(err))
 	}
@@ -78,9 +77,8 @@ func main() {
 func exitCode(err error) int {
 	var pe *parser.Error
 	var ae *engine.AnalysisError
-	var ue *engine.UnknownStrategyError
 	switch {
-	case errors.As(err, &pe), errors.As(err, &ue):
+	case errors.As(err, &pe):
 		return 2
 	case errors.As(err, &ae):
 		return 3
@@ -88,13 +86,7 @@ func exitCode(err error) int {
 	return 1
 }
 
-func run(figure string, parallel int, strategy, benchjson string, clockedN int, gocorpus string) error {
-	// Fail early on a bad strategy name; the error lists the
-	// registered names.
-	if _, err := engine.Lookup(strategy); err != nil {
-		return err
-	}
-
+func run(figure string, parallel int, benchjson string, clockedN int, gocorpus string) error {
 	known := map[string]bool{}
 	for _, f := range figures {
 		known[f] = true
@@ -202,7 +194,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 	}
 	if want["incremental"] {
 		section("Incremental analysis: edit-one-method sweep, delta vs scratch")
-		bench, err := experiments.RunIncremental(3, strategy)
+		bench, err := experiments.RunIncremental(3)
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ func captureRunParallel(t *testing.T, figure string, parallel int) (string, erro
 		}
 		done <- sb.String()
 	}()
-	ferr := run(figure, parallel, "", "", 5, "../../testdata/goprograms")
+	ferr := run(figure, parallel, "", 5, "../../testdata/goprograms")
 	w.Close()
 	os.Stdout = old
 	return <-done, ferr
@@ -146,7 +146,7 @@ func TestSolverSection(t *testing.T) {
 	defer func() { os.Stdout = old; devnull.Close() }()
 
 	path := t.TempDir() + "/bench.json"
-	if err := run("solver", 1, "", path, 5, ""); err != nil {
+	if err := run("solver", 1, path, 5, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -178,28 +178,16 @@ func TestIncrementalSection(t *testing.T) {
 	defer func() { os.Stdout = old; devnull.Close() }()
 
 	path := t.TempDir() + "/bench.json"
-	if err := run("incremental", 1, "phased", path, 5, ""); err != nil {
+	if err := run("incremental", 1, path, 5, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"strategy": "phased"`, `"benchmark": "mg"`, `"delta_ns_per_op"`, `"strict_subset_edits"`, `"identical": true`} {
+	for _, frag := range []string{`"strategy": "topo"`, `"benchmark": "mg"`, `"delta_ns_per_op"`, `"strict_subset_edits"`, `"identical": true`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
-		}
-	}
-}
-
-func TestUnknownStrategy(t *testing.T) {
-	for _, name := range []string{"no-such-solver", "ptopo", "shard", "worklist"} {
-		err := run("incremental", 1, name, "", 5, "")
-		if err == nil {
-			t.Fatalf("unknown strategy %q accepted", name)
-		}
-		if exitCode(err) != 2 || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "[phased topo]") {
-			t.Fatalf("error does not name the strategy and the registered names [phased topo]: %v", err)
 		}
 	}
 }
@@ -218,7 +206,7 @@ func TestClockedSection(t *testing.T) {
 		n = 3
 	}
 	path := t.TempDir() + "/bench.json"
-	if err := run("clocked", 1, "", path, n, ""); err != nil {
+	if err := run("clocked", 1, path, n, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -257,7 +245,7 @@ func TestGofrontSection(t *testing.T) {
 	defer func() { os.Stdout = old; devnull.Close() }()
 
 	path := t.TempDir() + "/bench.json"
-	if err := run("gofront", 1, "", path, 5, "../../testdata/goprograms"); err != nil {
+	if err := run("gofront", 1, path, 5, "../../testdata/goprograms"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)

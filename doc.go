@@ -17,9 +17,9 @@
 // against, a two-tier content-hash cache (whole-program results and
 // cross-program method summaries, the latter optionally backed by a
 // crash-safe persistent store (internal/sumstore) so summaries survive
-// restarts and are shared across processes) and method-granular
-// incremental re-analysis (engine.AnalyzeDelta), all differentially
-// fuzzed against exact and observed parallelism and scale-tested on
+// restarts and are shared across processes) and edit reports that
+// name the methods a revision changed (engine.AnalyzeDelta), all
+// differentially fuzzed against exact and observed parallelism and scale-tested on
 // generated programs (internal/progen's huge tier). The engine also
 // serves as a long-lived HTTP/JSON daemon (cmd/fx10d): admission-controlled solves,
 // singleflight coalescing, batch corpus submission under one
@@ -37,10 +37,9 @@
 // Section 8 clocks extension is analyzed, not just executed:
 // per-label phase inference (internal/clocks) feeds phase-ordering
 // facts into constraint solving, so barrier-separated pairs are
-// pruned identically under every solving algorithm and the
-// incremental path,
-// with soundness fuzzed against an exhaustive barrier-semantics
-// explorer and a clocked reference interpreter.
+// pruned identically under every solving algorithm, with soundness
+// fuzzed against an exhaustive barrier-semantics explorer and a
+// clocked reference interpreter.
 //
 // Start at README.md for the tour, DESIGN.md for the system
 // inventory, and EXPERIMENTS.md for paper-vs-measured results. The

@@ -4,17 +4,16 @@ import (
 	"context"
 )
 
-// Cancellation support: SolveCtx and SolveDeltaCtx are the
-// context-aware entry points a long-lived caller (internal/server)
-// uses to abandon a solve mid-flight — a client gone away must not pin
-// a worker for the rest of a large fixpoint. The iterative loops poll
-// the context every CancelStride constraint evaluations (polling every
-// evaluation would put an atomic load on the hottest path for no
-// benefit; a stride keeps the overhead to a countdown decrement) and
-// bail out by panicking with a private sentinel that the entry points
-// recover into a plain error. The context-free Solve/SolveDelta
-// wrappers keep their exact old signatures and never pay more than a
-// nil check per stride.
+// Cancellation support: SolveCtx is the context-aware entry point a
+// long-lived caller (internal/server) uses to abandon a solve
+// mid-flight — a client gone away must not pin a worker for the rest
+// of a large fixpoint. The iterative loops poll the context every
+// CancelStride constraint evaluations (polling every evaluation would
+// put an atomic load on the hottest path for no benefit; a stride
+// keeps the overhead to a countdown decrement) and bail out by
+// panicking with a private sentinel that the entry point recovers
+// into a plain error. The context-free Solve wrapper keeps its exact
+// old signature and never pays more than a nil check per stride.
 
 // CancelStride is the number of constraint evaluations between
 // context polls. At typical sub-microsecond evaluation cost this
@@ -22,7 +21,7 @@ import (
 const CancelStride = 256
 
 // canceledPanic is the sentinel unwound through the solver loops on
-// cancellation; it never escapes SolveCtx/SolveDeltaCtx.
+// cancellation; it never escapes SolveCtx.
 type canceledPanic struct{ err error }
 
 // cancelState is embedded in Solution. ctx is nil when the solve is
@@ -86,17 +85,4 @@ func (s *System) SolveCtx(ctx context.Context, alg Algorithm) (sol *Solution, er
 	}
 	defer recoverCanceled(&err)
 	return s.solve(ctx, alg), nil
-}
-
-// SolveDeltaCtx is SolveDelta with cooperative cancellation; the
-// restricted worklists (and the full-solve fallback) poll ctx every
-// CancelStride evaluations. On cancellation it returns
-// (nil, DeltaInfo{}, ctx.Err()) and no partial solution.
-func (s *System) SolveDeltaCtx(ctx context.Context, prev *Solution, dirty []MethodID) (sol *Solution, info DeltaInfo, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, DeltaInfo{}, err
-	}
-	defer recoverCanceled(&err)
-	sol, info = s.solveDelta(ctx, prev, dirty)
-	return sol, info, nil
 }

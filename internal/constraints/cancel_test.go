@@ -126,26 +126,3 @@ func TestSolveCtxCancelMidSolve(t *testing.T) {
 		}
 	}
 }
-
-// SolveDeltaCtx: live context matches SolveDelta; cancelled context
-// returns the context error.
-func TestSolveDeltaCtx(t *testing.T) {
-	sys := cancelSystem(t, ContextSensitive)
-	prev := sys.Solve(Phased)
-
-	got, info, err := sys.SolveDeltaCtx(context.Background(), prev, []MethodID{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, winfo := sys.SolveDelta(prev, []MethodID{0})
-	if !got.MainM().Equal(want.MainM()) || info.MethodsResolved != winfo.MethodsResolved {
-		t.Fatal("SolveDeltaCtx diverges from SolveDelta")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sol, _, err := sys.SolveDeltaCtx(ctx, prev, []MethodID{0})
-	if !errors.Is(err, context.Canceled) || sol != nil {
-		t.Fatalf("want (nil, context.Canceled), got (%v, %v)", sol, err)
-	}
-}

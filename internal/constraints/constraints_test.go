@@ -257,7 +257,7 @@ func TestIterationCountsSane(t *testing.T) {
 	if sol.Duration <= 0 {
 		t.Fatalf("duration not recorded")
 	}
-	if sol.FootprintBytes <= 0 {
+	if sol.FootprintBytes() <= 0 {
 		t.Fatalf("footprint not recorded")
 	}
 }

@@ -107,7 +107,6 @@ func Generate(in *labels.Info, mode Mode) *System {
 		g.l1(s.MethodO[i], nil, s.StmtO[body])
 		g.l2(s.MethodM[i], nil, s.StmtM[body])
 	}
-	s.buildPartition()
 
 	// Section 8 clocks: programs that use the clock get the static
 	// phase analysis attached, and the solvers filter symcross through

@@ -10,9 +10,8 @@ import (
 // they can never run in parallel. phase is nil for clock-free programs
 // (no filtering). This is the ONE place pairs enter the level-2
 // system — level 2 is otherwise pure union — so filtering here makes
-// every solving strategy (and the delta solver) compute exactly the
-// phase-refined least solution, preserving cross-strategy
-// bit-identity.
+// every solving strategy compute exactly the phase-refined least
+// solution, preserving cross-strategy bit-identity.
 //
 // With phases, each operand is split into its unknown-phase part and
 // one part per known phase, and the kept pairs are exactly

@@ -14,9 +14,8 @@ import "fx10/internal/intset"
 // value is the pruned one plus every phase-rejected cross-term pair of
 // a level-2 constraint reachable from m_main through Pairs edges. The
 // walk below collects exactly those, making the count a deterministic
-// function of the system — identical across solver strategies and
-// delta vs scratch solves, which the report layer's byte-stability
-// contract requires.
+// function of the system — identical across solver strategies, which
+// the report layer's byte-stability contract requires.
 
 // ClockPrunedMainPairs returns the symmetric pair set the phase
 // analysis pruned from the main method's m variable: a clock-blind

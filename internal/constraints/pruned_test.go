@@ -3,6 +3,7 @@ package constraints
 import (
 	"testing"
 
+	"fx10/internal/labels"
 	"fx10/internal/parser"
 )
 
@@ -56,10 +57,10 @@ void main() {
 	for name, src := range srcs {
 		p := parser.MustParse(src)
 		for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
-			aware := deltaSys(p, mode).Solve(Phased)
+			aware := Generate(labels.Compute(p), mode).Solve(Phased)
 			pruned := aware.ClockPrunedMainPairs()
 
-			blindSys := deltaSys(p, mode)
+			blindSys := Generate(labels.Compute(p), mode)
 			blindSys.Phases = nil
 			blindSys.PhaseCode = nil
 			blind := blindSys.Solve(Phased).MainM()

@@ -36,7 +36,7 @@ const (
 	Monolithic
 	// Worklist re-evaluates only the constraints whose inputs changed
 	// (still phased); Evaluations counts the re-evaluations. Kept as
-	// an oracle, and the basis of SolveDelta's restricted solves.
+	// an oracle.
 	Worklist
 )
 
@@ -96,10 +96,6 @@ type Solution struct {
 	// TotalAlloc delta): a machine-independent proxy for the space
 	// column of Figure 8.
 	AllocBytes uint64
-
-	// FootprintBytes estimates the memory retained by the solved
-	// valuation itself.
-	FootprintBytes int
 }
 
 // Solve computes the least solution of the system (Theorem 5: the
@@ -157,16 +153,16 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	sol.Duration = time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	sol.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
-	sol.FootprintBytes = sol.footprintBytes()
 	return sol
 }
 
-// footprintBytes estimates the memory the valuation retains. Dense
-// sets cost words × 8 bytes each (plus header); pair sets cost their
-// stored chunks. Topo's copy elision and SolveDelta's reuse make
-// several variables share one pair set, so each distinct set counts
-// once.
-func (sol *Solution) footprintBytes() int {
+// FootprintBytes estimates the memory the solved valuation retains,
+// the space column of Figure 8. Dense sets cost words × 8 bytes each
+// (plus header); pair sets cost their stored chunks. Topo's copy
+// elision makes several variables share one pair set, so each distinct
+// set counts once. It walks the whole valuation, so it is computed on
+// demand rather than on every solve.
+func (sol *Solution) FootprintBytes() int {
 	n := sol.sys.P.NumLabels()
 	total := len(sol.setVals) * ((n+63)/64*8 + 24)
 	seen := make(map[*intset.PairSet]bool, len(sol.pairVals))
@@ -276,14 +272,8 @@ func (sol *Solution) solveMonolithic() {
 func (sol *Solution) SetValue(v SetVar) *intset.Set { return sol.setVals[v] }
 
 // PairValue returns the solved value of a pair variable (fresh copy,
-// owned by the caller). The copy is over this system's label universe:
-// a delta solve may share a previous solve's value, built over the
-// previous program's.
-func (sol *Solution) PairValue(v PairVar) *intset.PairSet {
-	out := intset.NewPairs(sol.sys.P.NumLabels())
-	out.UnionWith(sol.pairVals[v])
-	return out
-}
+// owned by the caller).
+func (sol *Solution) PairValue(v PairVar) *intset.PairSet { return sol.pairVals[v].Clone() }
 
 // PairLen returns the number of ordered pairs in a pair variable
 // without copying it.

@@ -142,19 +142,6 @@ type System struct {
 	// ContextInsensitive mode.
 	MethodR []SetVar
 
-	// The method partition: every variable is owned by exactly one
-	// method (a statement variable by its enclosing method, a
-	// summary variable by the method it summarizes), and Calls is
-	// the cross-method dependency layer. Together they let the
-	// delta solver (SolveDelta) restrict re-solving to the dirty
-	// methods' closure. SetVarsOf/PairVarsOf give each method's
-	// variables in ascending index order, which is deterministic in
-	// the method's body structure — the correspondence delta seeding
-	// relies on.
-	SetVarOwner  []MethodID // owner of each SetVar
-	PairVarOwner []MethodID // owner of each PairVar
-	Calls        *CallGraph
-
 	// Phases is the static clock-phase analysis of the program, set by
 	// Generate iff the program uses clocks (Section 8); nil otherwise.
 	// PhaseCode is its flattened form (clocks.PhaseInfo.Codes): one
@@ -164,9 +151,6 @@ type System struct {
 	// never enters the level-2 system.
 	Phases    *clocks.PhaseInfo
 	PhaseCode []int32
-
-	methodSetVars  [][]SetVar
-	methodPairVars [][]PairVar
 
 	// What each variable belongs to, from which its name is derived
 	// (SetVarName, PairVarName): a statement variable holds its label,
@@ -219,62 +203,6 @@ func (s *System) NumSetVars() int { return len(s.setVarSrc) }
 
 // NumPairVars returns the number of level-2 variables.
 func (s *System) NumPairVars() int { return len(s.pairVarSrc) }
-
-// SetVarsOf returns method mi's set variables in ascending variable
-// order (shared slice; do not mutate).
-func (s *System) SetVarsOf(mi MethodID) []SetVar { return s.methodSetVars[mi] }
-
-// PairVarsOf returns method mi's pair variables in ascending variable
-// order (shared slice; do not mutate).
-func (s *System) PairVarsOf(mi MethodID) []PairVar { return s.methodPairVars[mi] }
-
-// buildPartition derives the ownership tables and the call-graph
-// layer after generation: a statement variable belongs to the method
-// whose body contains the statement, a summary variable (oᵢ/mᵢ/rᵢ)
-// to the method it summarizes.
-func (s *System) buildPartition() {
-	p := s.P
-	owner := func(src int32) MethodID {
-		if src < 0 {
-			return int(-src - 1)
-		}
-		return p.Labels[src].Method
-	}
-	s.SetVarOwner = make([]MethodID, len(s.setVarSrc))
-	for v, src := range s.setVarSrc {
-		s.SetVarOwner[v] = owner(src)
-	}
-	s.PairVarOwner = make([]MethodID, len(s.pairVarSrc))
-	for v, src := range s.pairVarSrc {
-		s.PairVarOwner[v] = owner(src)
-	}
-	s.methodSetVars = groupByOwner[SetVar](s.SetVarOwner, len(p.Methods))
-	s.methodPairVars = groupByOwner[PairVar](s.PairVarOwner, len(p.Methods))
-	s.Calls = NewCallGraph(p)
-}
-
-// groupByOwner lists each method's variables in ascending order, as
-// slices of one backing array.
-func groupByOwner[V ~int](owners []MethodID, methods int) [][]V {
-	off := make([]int, methods+1)
-	for _, mi := range owners {
-		off[mi+1]++
-	}
-	for mi := 1; mi <= methods; mi++ {
-		off[mi] += off[mi-1]
-	}
-	all := make([]V, len(owners))
-	pos := append([]int(nil), off[:methods]...)
-	for v, mi := range owners {
-		all[pos[mi]] = V(v)
-		pos[mi]++
-	}
-	out := make([][]V, methods)
-	for mi := range out {
-		out[mi] = all[off[mi]:off[mi+1]:off[mi+1]]
-	}
-	return out
-}
 
 // labelSetString renders a constant label set with display names.
 func (s *System) labelSetString(set *intset.Set) string {

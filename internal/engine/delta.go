@@ -4,27 +4,20 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"fx10/internal/constraints"
-	"fx10/internal/labels"
 	"fx10/internal/syntax"
 )
 
-// AnalyzeDelta analyzes edited incrementally against base, a result
-// for a previous version of the program (same mode, same engine
-// strategy family of guarantees): methods whose content hash matches
-// their same-named method in the base program keep their solved
-// values (translated to the edited program's labels), and only the
-// dirty closure is re-solved (constraints.SolveDelta). The returned
-// Result is bitwise-identical to Analyze(edited) — Theorems 5–6 give
-// the least solution's uniqueness, and the engine's equivalence tests
-// plus difffuzz's incremental oracle check the implementation — with
-// Stats.Delta reporting what was reused.
-//
-// The program cache still participates: a cache hit for the edited
-// program is served directly (everything reused), and a delta-solved
-// result populates the cache for future requests.
+// AnalyzeDelta analyzes edited, a revision of the program base was
+// computed for, and reports which methods the edit changed. The
+// analysis is a full AnalyzeCtx of edited in base's mode: the least
+// solution is unique (Theorems 5–6), so a from-scratch solve gives
+// exactly what an incremental one would, and the engine's equivalence
+// tests plus difffuzz's incremental oracle hold it to that. Reusing the
+// clean methods' summaries waits on a seeded solve (see ROADMAP.md);
+// until then Stats.Delta reports every method re-solved, except on a
+// program-cache hit, which reuses them all.
 func (e *Engine) AnalyzeDelta(base *Result, edited *syntax.Program) (*Result, error) {
 	return e.AnalyzeDeltaCtx(context.Background(), base, edited)
 }
@@ -33,117 +26,79 @@ func (e *Engine) AnalyzeDelta(base *Result, edited *syntax.Program) (*Result, er
 // same contract as AnalyzeCtx: cancellation caches nothing and
 // returns ctx's error).
 func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *syntax.Program) (*Result, error) {
-	if base == nil || base.Sys == nil || base.Sol == nil || base.Program == nil {
+	if base == nil || base.Sys == nil || base.Program == nil {
 		return nil, fmt.Errorf("engine: AnalyzeDelta needs a complete base result")
 	}
 	if edited == nil {
 		return nil, fmt.Errorf("engine: AnalyzeDelta needs an edited program")
 	}
 	mode := base.Sys.Mode
-	start := time.Now()
+	dirty, _ := dirtyMethods(base.Program, edited)
 
-	var key cacheKey
-	if e.cache != nil {
-		key = keyFor(edited, mode, e.strategy.Name())
-	}
-	if c, ok := e.cacheGet(key); ok {
-		stats := c.stats
-		stats.CacheHit = true
-		stats.Delta = &DeltaStats{
-			MethodsTotal:  len(edited.Methods),
-			MethodsReused: len(edited.Methods),
+	// On a cache miss, probe the summary tier (memory or disk) for the
+	// dirty methods before the analyze stores this run's summaries: a
+	// hit means some already-analyzed program — in this process or,
+	// via the persistent store, a previous one — had a
+	// content-identical method (cross-program sharing).
+	var hits, misses int
+	probe := func() {
+		if e.summaries == nil || mode != constraints.ContextSensitive || edited.UsesClocks() {
+			return
 		}
-		return c.core.result(stats, start), nil
-	}
-
-	// Diff method content hashes against the base, by name. The hash
-	// covers a method's whole call-graph subtree, so transitive
-	// callers of an edited method are dirty here already; SolveDelta
-	// recomputes the closure anyway for callers that present it with
-	// body-only dirt.
-	baseHash := make(map[string]syntax.ProgramHash, len(base.Program.Methods))
-	for mi, m := range base.Program.Methods {
-		baseHash[m.Name] = base.Program.MethodHash(mi)
-	}
-	var dirty []constraints.MethodID
-	var dirtyNames []string
-	for mi, m := range edited.Methods {
-		if h, ok := baseHash[m.Name]; !ok || h != edited.MethodHash(mi) {
-			dirty = append(dirty, mi)
-			dirtyNames = append(dirtyNames, m.Name)
-		}
-	}
-	sort.Strings(dirtyNames)
-
-	stats := Stats{Strategy: e.strategy.Name()}
-
-	t0 := time.Now()
-	info := labels.Compute(edited)
-	stats.Labels = time.Since(t0)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	t0 = time.Now()
-	sys := constraints.Generate(info, mode)
-	stats.Generate = time.Since(t0)
-
-	t0 = time.Now()
-	sol, dinfo, err := sys.SolveDeltaCtx(ctx, base.Sol, dirty)
-	if err != nil {
-		return nil, err
-	}
-	stats.Solve = time.Since(t0)
-
-	stats.IterSlabels = sol.IterSlabels
-	stats.IterL1 = sol.IterL1
-	stats.IterL2 = sol.IterL2
-	stats.Evaluations = sol.Evaluations
-	stats.AllocBytes = sol.AllocBytes
-	stats.FootprintBytes = sol.FootprintBytes
-
-	delta := &DeltaStats{
-		MethodsTotal:           len(edited.Methods),
-		MethodsReused:          dinfo.MethodsReused,
-		MethodsResolved:        dinfo.MethodsResolved,
-		DirtyMethods:           dirtyNames,
-		ConstraintsReevaluated: dinfo.ConstraintsReevaluated,
-		Full:                   dinfo.Full,
-	}
-	// Probe the summary tier (memory or disk) for the re-solved
-	// methods before storing this run's summaries: a hit means some
-	// already-analyzed program — in this process or, via the
-	// persistent store, a previous one — had a content-identical
-	// method (cross-program sharing).
-	if e.summaries != nil && mode == constraints.ContextSensitive && !edited.UsesClocks() {
-		for _, mi := range dinfo.Closure {
+		for _, mi := range dirty {
 			if e.summaryKnown(edited.MethodHash(mi)) {
-				delta.SummaryHits++
+				hits++
 			} else {
-				delta.SummaryMisses++
+				misses++
 			}
 		}
 	}
-	stats.Delta = delta
-
-	core := pipelineCore{program: edited, info: info, sys: sys, sol: sol}
-	// The delta result is bitwise-identical to a from-scratch solve,
-	// so it can serve future cache lookups for the edited program.
-	e.cachePut(key, cached{core: core, stats: stats})
-	e.storeSummaries(edited, sol, mode)
-
-	return core.result(stats, start), nil
+	res, err := e.analyze(ctx, Job{Program: edited, Mode: mode}, probe)
+	if err != nil {
+		return nil, err
+	}
+	ds := DeltaOf(base.Program, res)
+	ds.SummaryHits, ds.SummaryMisses = hits, misses
+	res.Stats.Delta = ds
+	return res, nil
 }
 
-// AnalyzeDeltaSafe is AnalyzeDeltaCtx behind a recover barrier,
-// converting pipeline panics into *AnalysisError — the delta
-// counterpart of AnalyzeSafe.
-func (e *Engine) AnalyzeDeltaSafe(ctx context.Context, base *Result, edited *syntax.Program) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &AnalysisError{Name: "<delta>", Value: r}
+// DeltaOf describes res, an analysis of an edited program, as an edit
+// of base: the methods whose content hash differs from their
+// same-named method in base are dirty. A program-cache hit reused
+// every method; any other result re-solved the whole program.
+// SummaryHits and SummaryMisses stay zero.
+func DeltaOf(base *syntax.Program, res *Result) *DeltaStats {
+	_, names := dirtyMethods(base, res.Program)
+	ds := &DeltaStats{MethodsTotal: len(res.Program.Methods), DirtyMethods: names}
+	if res.Stats.CacheHit {
+		ds.MethodsReused = ds.MethodsTotal
+	} else {
+		ds.MethodsResolved = ds.MethodsTotal
+		ds.Full = true
+		ds.ConstraintsReevaluated = res.Stats.Evaluations
+	}
+	return ds
+}
+
+// dirtyMethods diffs edited against base by method content hash,
+// matching methods by name. The hash covers a method's whole
+// call-graph subtree, so the transitive callers of an edited method
+// are dirty too. It returns the dirty methods' indices in edited and
+// their names, sorted.
+func dirtyMethods(base, edited *syntax.Program) ([]int, []string) {
+	baseHash := make(map[string]syntax.ProgramHash, len(base.Methods))
+	for mi, m := range base.Methods {
+		baseHash[m.Name] = base.MethodHash(mi)
+	}
+	var dirty []int
+	var names []string
+	for mi, m := range edited.Methods {
+		if h, ok := baseHash[m.Name]; !ok || h != edited.MethodHash(mi) {
+			dirty = append(dirty, mi)
+			names = append(names, m.Name)
 		}
-	}()
-	return e.AnalyzeDeltaCtx(ctx, base, edited)
+	}
+	sort.Strings(names)
+	return dirty, names
 }

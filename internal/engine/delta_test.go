@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"fx10/internal/constraints"
+	"fx10/internal/parser"
 	"fx10/internal/progen"
 	"fx10/internal/syntax"
 )
@@ -69,8 +71,8 @@ func TestAnalyzeDeltaEquivalenceCorpus(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDeltaContextInsensitive covers the CI closure rule
-// (weak components over the union of old and new call graphs).
+// TestAnalyzeDeltaContextInsensitive covers CI, where a method's values
+// also depend on its callers.
 func TestAnalyzeDeltaContextInsensitive(t *testing.T) {
 	e := MustNew(Config{CacheSize: -1})
 	for seed := int64(0); seed < 25; seed++ {
@@ -97,8 +99,12 @@ func TestAnalyzeDeltaContextInsensitive(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDeltaReusesMethods: on a fan-out program, editing one
-// leaf must leave the sibling methods seeded, not re-solved.
+// TestAnalyzeDeltaReusesMethods pins the DeltaStats contract of a
+// cache miss: on a fan-out program, editing one leaf dirties exactly
+// that leaf and its caller (the content hash covers a method's whole
+// call-graph subtree) and never the untouched sibling, and the
+// analysis re-solves the whole program — nothing is reused until a
+// seeded solve lands.
 func TestAnalyzeDeltaReusesMethods(t *testing.T) {
 	build := func(extra bool) *syntax.Program {
 		b := syntax.NewBuilder(4)
@@ -123,21 +129,79 @@ func TestAnalyzeDeltaReusesMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := delta.Stats.Delta
-	if ds.Full {
-		t.Fatal("delta fell back to full solve")
+	if got := strings.Join(ds.DirtyMethods, ","); got != "main,right" {
+		t.Errorf("dirty methods = %v, want [main right]", ds.DirtyMethods)
 	}
-	if ds.MethodsReused == 0 {
-		t.Fatalf("no methods reused: %+v", *ds)
+	if !ds.Full || ds.MethodsTotal != 3 || ds.MethodsResolved != ds.MethodsTotal || ds.MethodsReused != 0 {
+		t.Errorf("DeltaStats = %+v, want a full solve of all 3 methods", *ds)
 	}
-	// The content hash covers a method's whole call-graph subtree, so
-	// the edit dirties "right" and its caller "main" — but never the
-	// untouched sibling "left".
-	dirty := map[string]bool{}
-	for _, name := range ds.DirtyMethods {
-		dirty[name] = true
+	if ds.ConstraintsReevaluated != delta.Stats.Evaluations {
+		t.Errorf("ConstraintsReevaluated = %d, want the solve's %d evaluations",
+			ds.ConstraintsReevaluated, delta.Stats.Evaluations)
 	}
-	if !dirty["right"] || dirty["left"] {
-		t.Fatalf("dirty methods = %v, want right (and possibly main) but never left", ds.DirtyMethods)
+}
+
+// TestAnalyzeDeltaPhaseShift: an edit that only touches main can change
+// an untouched helper's clock phases — here a second call site at a
+// different phase joins the helper's entry phase to ⊤, un-pruning
+// pairs the base analysis dropped. The helper's content hash does not
+// change, so it is not dirty, yet its values must not be the base's:
+// the delta result must equal a scratch analysis in both modes.
+func TestAnalyzeDeltaPhaseShift(t *testing.T) {
+	const helper = `
+void work() {
+  WC: clocked async {
+    WA: a[0] = 1;
+    WN: next;
+    WB: a[1] = 2;
+  }
+  WD: a[2] = 3;
+  WM: next;
+  WE: a[3] = 4;
+}
+`
+	base := parser.MustParse("array 8;\n" + helper + `
+void main() {
+  F1: work();
+}
+`)
+	edited := parser.MustParse("array 8;\n" + helper + `
+void main() {
+  F1: work();
+  MN: next;
+  F2: work();
+}
+`)
+	e := MustNew(Config{CacheSize: -1})
+	for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
+		baseRes, err := e.Analyze(Job{Program: base, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := e.AnalyzeDelta(baseRes, edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := e.Analyze(Job{Program: edited, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Vacuity guard: at a single phase-0 call site WB (phase 1) and
+		// WD (phase 0) are serialized by the barrier; with the entry
+		// phase joined to ⊤ the pair comes back.
+		wb, _ := base.LabelByName("WB")
+		wd, _ := base.LabelByName("WD")
+		wb2, _ := edited.LabelByName("WB")
+		wd2, _ := edited.LabelByName("WD")
+		if baseRes.M.Has(int(wb), int(wd)) || !scratch.M.Has(int(wb2), int(wd2)) {
+			t.Fatalf("%v: the edit does not shift the helper's phases", mode)
+		}
+		if got := delta.Stats.Delta.DirtyMethods; len(got) != 1 || got[0] != "main" {
+			t.Errorf("%v: dirty methods = %v, want [main]", mode, got)
+		}
+		if !delta.Sol.ValuationEqual(scratch.Sol) || !delta.M.Equal(scratch.M) {
+			t.Fatalf("%v: delta differs from scratch after a phase-shifting edit", mode)
+		}
 	}
 }
 
@@ -162,8 +226,11 @@ func TestAnalyzeDeltaCacheHit(t *testing.T) {
 		t.Fatal("expected a program-cache hit")
 	}
 	ds := delta.Stats.Delta
-	if ds == nil || ds.MethodsReused != ds.MethodsTotal || ds.MethodsResolved != 0 {
+	if ds == nil || ds.MethodsReused != ds.MethodsTotal || ds.MethodsResolved != 0 || ds.Full {
 		t.Fatalf("cache-hit DeltaStats = %+v, want everything reused", ds)
+	}
+	if len(ds.DirtyMethods) == 0 {
+		t.Error("cache hit reported no dirty methods for a real edit")
 	}
 }
 

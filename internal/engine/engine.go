@@ -16,11 +16,9 @@
 //     content hash, sharing inferred summaries between
 //     content-identical methods of different programs in a corpus —
 //     see summaries.go);
-//   - method-granular incremental analysis: AnalyzeDelta diffs an
-//     edited program against a base result by method content hash
-//     and re-solves only the dirty methods' call-graph closure
-//     (constraints.SolveDelta), reporting what it reused in
-//     DeltaStats;
+//   - edit reports: AnalyzeDelta analyzes an edited program and diffs
+//     it against a base result by method content hash, reporting the
+//     changed methods in DeltaStats (the solve itself is a full one);
 //   - per-stage metrics (Stats) for every result.
 //
 // internal/mhp.Analyze, internal/experiments and cmd/mhpbench all run
@@ -250,6 +248,13 @@ func (e *Engine) Analyze(job Job) (*Result, error) {
 // both cache tiers exactly as they were — an abandoned request can
 // never poison a future one.
 func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (*Result, error) {
+	return e.analyze(ctx, job, nil)
+}
+
+// analyze is AnalyzeCtx with a hook: onMiss, when non-nil, runs on a
+// program-cache miss before the pipeline (which stores this run's
+// method summaries).
+func (e *Engine) analyze(ctx context.Context, job Job, onMiss func()) (*Result, error) {
 	start := time.Now()
 
 	p := job.Program
@@ -276,6 +281,9 @@ func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (*Result, error) {
 		core, stats = c.core, c.stats
 		stats.CacheHit = true
 	} else {
+		if onMiss != nil {
+			onMiss()
+		}
 		var err error
 		core, stats, err = e.runPipeline(ctx, p, job.Mode)
 		if err != nil {
@@ -328,7 +336,6 @@ func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constr
 	stats.IterL2 = sol.IterL2
 	stats.Evaluations = sol.Evaluations
 	stats.AllocBytes = sol.AllocBytes
-	stats.FootprintBytes = sol.FootprintBytes
 
 	e.storeSummaries(p, sol, mode)
 	return pipelineCore{program: p, info: info, sys: sys, sol: sol}, stats, nil

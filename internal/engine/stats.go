@@ -32,34 +32,33 @@ type Stats struct {
 	Evaluations int64
 	// AllocBytes is the heap allocated during the solve stage.
 	AllocBytes uint64
-	// FootprintBytes estimates the memory retained by the solved
-	// valuation.
-	FootprintBytes int
 
 	// Delta is set only on results produced by AnalyzeDelta.
 	Delta *DeltaStats
 }
 
-// DeltaStats reports what an incremental analysis reused.
+// DeltaStats reports what an AnalyzeDelta edit changed and what the
+// analysis reused.
 type DeltaStats struct {
-	// MethodsTotal is the edited program's method count;
-	// MethodsReused were seeded from the base result, MethodsResolved
-	// (the dirty closure) were re-solved.
+	// MethodsTotal is the edited program's method count. On a
+	// program-cache hit every method is reused (MethodsReused ==
+	// MethodsTotal); otherwise the whole program is re-solved
+	// (MethodsResolved == MethodsTotal and Full).
 	MethodsTotal    int
 	MethodsReused   int
 	MethodsResolved int
 	// DirtyMethods names the methods whose content hash differed from
-	// the base (before closure), sorted.
+	// their same-named method in the base, sorted.
 	DirtyMethods []string
-	// ConstraintsReevaluated counts constraint evaluations performed
-	// by the delta solve.
+	// ConstraintsReevaluated counts the constraint evaluations of the
+	// solve (Stats.Evaluations); zero on a cache hit.
 	ConstraintsReevaluated int64
-	// Full is true when the delta path fell back to a full re-solve.
+	// Full is true when the whole program was re-solved.
 	Full bool
-	// SummaryHits and SummaryMisses count re-solved methods whose
-	// final summary was (respectively was not) already present in the
-	// engine's method-summary cache tier — cross-program sharing at
-	// work. Zero when the tier is disabled.
+	// SummaryHits and SummaryMisses count dirty methods whose summary
+	// was (respectively was not) already present in the engine's
+	// method-summary tier before the solve — cross-program sharing at
+	// work. Zero on a cache hit and when the tier is disabled.
 	SummaryHits, SummaryMisses int
 }
 

@@ -235,7 +235,7 @@ func fig8RowFrom(b *workloads.Benchmark, mode constraints.Mode, res *engine.Resu
 	return Fig8Row{
 		Name: b.Name, Mode: mode, Paper: b.Paper,
 		TimeMS:      float64(res.Stats.PipelineDuration().Microseconds()) / 1000.0,
-		SpaceMB:     float64(res.Stats.FootprintBytes) / (1 << 20),
+		SpaceMB:     float64(res.Sol.FootprintBytes()) / (1 << 20),
 		IterSlabels: res.Stats.IterSlabels,
 		IterL1:      res.Stats.IterL1,
 		IterL2:      res.Stats.IterL2,

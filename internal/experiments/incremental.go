@@ -17,11 +17,13 @@ import (
 
 // The incremental bench is the edit-one-method sweep behind the
 // README's incremental-analysis table: for every method of every
-// corpus benchmark, append one skip to that method, re-analyze
-// incrementally (engine.AnalyzeDelta) and from scratch, and compare.
-// It reports how much of the program the delta path re-solved and the
-// wall-time ratio, and verifies on every edit that the two paths
-// produce identical valuations. Written as BENCH_incremental.json so
+// corpus benchmark, append one skip to that method, re-analyze through
+// engine.AnalyzeDelta and from scratch, and compare. It reports how
+// much of the program the delta path re-solved and the wall-time
+// ratio, and verifies on every edit that the two paths produce
+// identical valuations. AnalyzeDelta is a full analyze today, so the
+// ratio sits near 1; the sweep is the yardstick a seeded solve that
+// reuses clean methods must beat. Written as BENCH_incremental.json so
 // regressions are diffable across commits.
 
 // IncrementalRow is one benchmark's edit sweep.
@@ -31,8 +33,8 @@ type IncrementalRow struct {
 	// single-method edits swept (one per method).
 	Methods int `json:"methods"`
 	Edits   int `json:"edits"`
-	// AvgMethodsResolved / MaxMethodsResolved summarize the dirty
-	// closure sizes across the sweep.
+	// AvgMethodsResolved / MaxMethodsResolved summarize how many
+	// methods each edit re-solved.
 	AvgMethodsResolved float64 `json:"avg_methods_resolved"`
 	MaxMethodsResolved int     `json:"max_methods_resolved"`
 	// StrictSubsetEdits counts edits whose delta re-solved strictly
@@ -64,10 +66,9 @@ type IncrementalBench struct {
 }
 
 // RunIncremental sweeps every corpus benchmark (context-sensitive, as
-// in Figure 8) with the given solver strategy; empty selects the
-// default. Caching is off in both engines so the timings measure the
-// delta solver itself, not the program cache.
-func RunIncremental(reps int, strategy string) (IncrementalBench, error) {
+// in Figure 8) with the default solver strategy. Caching is off so the
+// timings measure the solves, not the program cache.
+func RunIncremental(reps int) (IncrementalBench, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -77,7 +78,7 @@ func RunIncremental(reps int, strategy string) (IncrementalBench, error) {
 		GOARCH: runtime.GOARCH,
 		Reps:   reps,
 	}
-	e, err := engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
+	e, err := engine.New(engine.Config{CacheSize: -1})
 	if err != nil {
 		return bench, err
 	}
@@ -154,54 +155,56 @@ func measureIncremental(e *engine.Engine, name string, p *syntax.Program, reps i
 		}
 		return nil
 	}
-	dNs, err := bestSweep(deltaOp, len(edits), reps)
+	ns, err := bestSweeps(len(edits), reps, deltaOp, scratchOp)
 	if err != nil {
 		return row, err
 	}
-	sNs, err := bestSweep(scratchOp, len(edits), reps)
-	if err != nil {
-		return row, err
-	}
-	row.DeltaNsPerOp, row.ScratchNsPerOp = dNs, sNs
-	if dNs > 0 {
-		row.Speedup = float64(sNs) / float64(dNs)
+	row.DeltaNsPerOp, row.ScratchNsPerOp = ns[0], ns[1]
+	if ns[0] > 0 {
+		row.Speedup = float64(ns[1]) / float64(ns[0])
 	}
 	return row, nil
 }
 
-// bestSweep times op (a sweep of n edits) go-test style and returns
-// the best-of-reps per-edit nanoseconds. Each rep's inner loop is
-// sized to run ≥ ~10ms so single-shot scheduler noise cannot decide
-// the comparison between two sweeps of a few hundred microseconds.
-func bestSweep(op func() error, n, reps int) (int64, error) {
-	t0 := time.Now()
-	if err := op(); err != nil {
-		return 0, err
-	}
-	warm := time.Since(t0)
-	iters := 1
-	if warm > 0 {
-		iters = int(10 * time.Millisecond / warm)
-	}
-	if iters < 1 {
-		iters = 1
-	}
-	if iters > 256 {
-		iters = 256
-	}
-	best := time.Duration(0)
-	for rep := 0; rep < reps; rep++ {
+// bestSweeps times each op (a sweep of n edits) go-test style and
+// returns each op's best-of-reps per-edit nanoseconds. Each rep's
+// inner loop is sized to run ≥ ~10ms so single-shot scheduler noise
+// cannot decide the comparison between two sweeps of a few hundred
+// microseconds, and the ops alternate within every rep, so a slow
+// stretch of a shared host slows all of them rather than whichever
+// happened to run then.
+func bestSweeps(n, reps int, ops ...func() error) ([]int64, error) {
+	iters := make([]int, len(ops))
+	for k, op := range ops {
 		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := op(); err != nil {
-				return 0, err
+		if err := op(); err != nil {
+			return nil, err
+		}
+		iters[k] = 1
+		if warm := time.Since(t0); warm > 0 {
+			iters[k] = min(max(int(10*time.Millisecond/warm), 1), 256)
+		}
+	}
+	best := make([]time.Duration, len(ops))
+	for rep := 0; rep < reps; rep++ {
+		for k, op := range ops {
+			runtime.GC() // no op pays for the garbage of the one before
+			t0 := time.Now()
+			for i := 0; i < iters[k]; i++ {
+				if err := op(); err != nil {
+					return nil, err
+				}
+			}
+			if d := time.Since(t0); rep == 0 || d < best[k] {
+				best[k] = d
 			}
 		}
-		if d := time.Since(t0); rep == 0 || d < best {
-			best = d
-		}
 	}
-	return best.Nanoseconds() / int64(iters) / int64(n), nil
+	ns := make([]int64, len(ops))
+	for k := range ops {
+		ns[k] = best[k].Nanoseconds() / int64(iters[k]) / int64(n)
+	}
+	return ns, nil
 }
 
 // FormatIncremental renders the sweep as an aligned table, one row per

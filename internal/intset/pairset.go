@@ -16,8 +16,7 @@ type pairChunk struct {
 
 // chunkKey is the key of the word holding the pair (i, j). It depends
 // only on the pair, never on the universe size, so pair sets built
-// over different universes (a delta solve reusing a previous solve's
-// values) union and compare directly.
+// over different universes union and compare directly.
 func chunkKey(i, j int) uint64 { return uint64(i)<<32 | uint64(j/wordBits) }
 
 // PairSet is a sparse set of pairs drawn from the universe

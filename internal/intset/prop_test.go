@@ -202,8 +202,7 @@ func TestPairSetPropertyModel(t *testing.T) {
 					model[key] = true
 				}
 			case 6: // UnionWith and Equal against a set over a larger
-				// universe holding the same labels (a delta solve
-				// reusing a previous solve's values).
+				// universe holding the same labels.
 				q := NewPairs(n + 1 + rng.Intn(70))
 				qModel := pairModel{}
 				q.CrossSym(growSet(a, q.Universe()), growSet(b, q.Universe()))

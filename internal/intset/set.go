@@ -225,40 +225,6 @@ func (s *Set) CopyFrom(t *Set) {
 	s.gen++
 }
 
-// CopyFromFit overwrites s with the contents of t, which may have a
-// different universe size. It reports false — leaving s in an
-// unspecified state — when t contains an element outside s's
-// universe; word-level copying makes the success path O(words), so a
-// solver reusing values across programs of slightly different sizes
-// need not decode elements one by one.
-func (s *Set) CopyFromFit(t *Set) bool {
-	if s.n == t.n {
-		s.CopyFrom(t)
-		return true
-	}
-	k := len(s.words)
-	if len(t.words) < k {
-		k = len(t.words)
-	}
-	copy(s.words[:k], t.words[:k])
-	for i := k; i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-	for _, w := range t.words[k:] {
-		if w != 0 {
-			return false
-		}
-	}
-	if r := s.n % wordBits; r != 0 && t.n > s.n && k > 0 {
-		if s.words[k-1]&^(1<<r-1) != 0 {
-			return false
-		}
-	}
-	s.count = t.count
-	s.gen++
-	return true
-}
-
 // Clear removes all elements.
 func (s *Set) Clear() {
 	if s.count == 0 {

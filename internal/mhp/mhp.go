@@ -50,12 +50,10 @@ func MustAnalyze(p *syntax.Program, mode constraints.Mode) *Result {
 	return r
 }
 
-// AnalyzeDelta re-analyzes edited incrementally against base: methods
-// whose content hash is unchanged keep their solved values and only
-// the dirty call-graph closure is re-solved. The returned Result is
-// identical to Analyze(edited, mode) — the least solution is unique —
-// and the DeltaStats reports what was reused. The mode is taken from
-// the base result's system.
+// AnalyzeDelta analyzes edited, a revision of base's program, in
+// base's mode, and reports in the DeltaStats which methods the edit
+// changed (engine.AnalyzeDelta). The returned Result is identical to
+// Analyze(edited, mode).
 func AnalyzeDelta(base *Result, edited *syntax.Program) (*Result, engine.DeltaStats, error) {
 	res, err := analyzeEngine.AnalyzeDelta(base.Result, edited)
 	if err != nil {

@@ -109,9 +109,10 @@ type QueryResponse struct {
 }
 
 // DeltaRequest is the body of POST /v1/delta: the full edited source
-// of a session's program. The first request of a session pays a full
-// analyze; later requests re-solve only the dirty method closure
-// against the session's previous version.
+// of a session's program. Every request is a full analyze, served
+// like /v1/analyze (admission, coalescing, program cache); requests
+// after a session's first also report which methods changed since the
+// session's previous version.
 type DeltaRequest struct {
 	// Session names the editing session; any non-empty string.
 	Session string `json:"session"`
@@ -124,11 +125,10 @@ type DeltaRequest struct {
 	Mode string `json:"mode,omitempty"`
 }
 
-// DeltaResponse is AnalyzeResponse plus what the incremental path
-// reused.
+// DeltaResponse is AnalyzeResponse plus the methods the edit changed.
 type DeltaResponse struct {
 	AnalyzeResponse
-	// Delta is nil on the session's first (full) analyze.
+	// Delta is nil on the session's first request.
 	Delta *DeltaStats `json:"delta,omitempty"`
 }
 

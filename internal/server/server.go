@@ -435,7 +435,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleDelta: session-scoped incremental analysis.
+// handleDelta: session-scoped analysis that reports the methods each
+// edit changed.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
 	if !s.readJSON(w, r, &req) {
@@ -466,10 +467,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	sess, created, evicted, ok := s.sessions.get(req.Session, mode, lang)
 	if !ok {
 		// The session exists under another mode or front end: its base
-		// result is a solution of that configuration's constraint
-		// system, unusable as a delta base here. Rejecting (rather than
-		// silently reusing the session's) keeps the request
-		// authoritative.
+		// is that configuration's lowered program, unusable as a delta
+		// base here. Rejecting (rather than silently reusing the
+		// session's) keeps the request authoritative.
 		s.writeError(w, http.StatusBadRequest, "bad_request", "mode or language differs from the session's")
 		return
 	}
@@ -480,65 +480,22 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessions.Set(int64(s.sessions.len()))
 
 	// Serialize edits within the session; the base advances edit by
-	// edit. The lock is held across the solve on purpose: delta
-	// against a moving base is undefined.
+	// edit, so each response reports the methods changed since the
+	// session's previous request.
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
-	if sess.base == nil {
-		res, coalesced, herr := s.analyze(ctx, p, mode, "session:"+req.Session)
-		if herr != nil {
-			s.writeHandlerError(w, herr)
-			return
-		}
-		sess.base = res
-		writeJSON(w, http.StatusOK, DeltaResponse{AnalyzeResponse: s.analyzeResponse(res, coalesced)})
+	res, coalesced, herr := s.analyze(ctx, p, mode, "session:"+req.Session)
+	if herr != nil {
+		s.writeHandlerError(w, herr)
 		return
 	}
-
-	// Incremental path: admission still applies (a delta is a solve,
-	// just a smaller one), but coalescing does not — the session's
-	// base is private state.
-	enqueued := time.Now()
-	if err := s.adm.acquire(ctx); err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.metrics.overload.Add(1)
-			s.writeHandlerError(w, &handlerError{
-				status: http.StatusTooManyRequests, kind: "overloaded",
-				msg:   "admission queue full",
-				retry: s.adm.retryAfter(time.Duration(s.solveEWMA.Load())),
-			})
-			return
-		}
-		s.metrics.canceled.Add(1)
-		s.writeHandlerError(w, ctxError(err))
-		return
+	resp := DeltaResponse{AnalyzeResponse: s.analyzeResponse(res, coalesced)}
+	if sess.base != nil {
+		resp.Delta = deltaStatsFrom(engine.DeltaOf(sess.base, res))
 	}
-	s.metrics.queueWait.Observe(time.Since(enqueued))
-	s.metrics.inflight.Add(1)
-	defer func() {
-		s.metrics.inflight.Add(-1)
-		s.adm.release()
-	}()
-
-	s.metrics.solves.Add(1)
-	t0 := time.Now()
-	res, err := s.eng.AnalyzeDeltaSafe(ctx, sess.base, p)
-	if err != nil {
-		s.writeHandlerError(w, s.solveError(err))
-		return
-	}
-	d := time.Since(t0)
-	s.metrics.solveLatency.Observe(d)
-	s.observeSolve(d)
-
-	sess.base = res
-	key := flightKey{hash: p.Hash(), mode: mode}
-	s.index.put(key, &indexed{program: res.Program, m: res.M})
-	writeJSON(w, http.StatusOK, DeltaResponse{
-		AnalyzeResponse: s.analyzeResponse(res, false),
-		Delta:           deltaStatsFrom(res.Stats.Delta),
-	})
+	sess.base = res.Program
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // readJSON decodes a POST body with limits, writing the error

@@ -456,6 +456,95 @@ func TestDeltaSession(t *testing.T) {
 	}
 }
 
+// TestDeltaCoalescesAcrossSessions: N sessions that send the same
+// edited source at once share one solve through the /v1/analyze path
+// (admission, singleflight, program cache), each still gets its own
+// delta report, and the queue gauge settles back to zero.
+func TestDeltaCoalescesAcrossSessions(t *testing.T) {
+	registerSlow(t)
+	// Cache disabled so coalescing (not the cache) must dedupe.
+	_, ts := newTestServer(t, Config{Strategy: "testslow", Workers: 4, CacheSize: -1})
+	p := mustWorkload(t, "series").Program()
+	edited := progen.AppendSkip(p, p.MainIndex)
+
+	const n = 4
+	for i := 0; i < n; i++ {
+		req := DeltaRequest{Session: fmt.Sprint("s", i), Source: syntax.Print(p)}
+		if status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/delta", req); status != http.StatusOK {
+			t.Fatalf("session %d base: %d: %s", i, status, data)
+		}
+	}
+
+	setSlowHook(t, func() { time.Sleep(300 * time.Millisecond) })
+	before := getMetrics(t, ts)
+	resps := make([]DeltaResponse, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := DeltaRequest{Session: fmt.Sprint("s", i), Source: syntax.Print(edited)}
+			status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/delta", req)
+			if status != http.StatusOK {
+				t.Errorf("session %d delta: %d: %s", i, status, data)
+				return
+			}
+			if err := json.Unmarshal(data, &resps[i]); err != nil {
+				t.Errorf("session %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	after := getMetrics(t, ts)
+
+	if got := after["solves"].(float64) - before["solves"].(float64); got != 1 {
+		t.Errorf("%d identical deltas from %d sessions cost %v solves, want 1", n, n, got)
+	}
+	if got := after["coalesced"].(float64) - before["coalesced"].(float64); got < 1 {
+		t.Errorf("coalesced += %v, want ≥ 1", got)
+	}
+	if got := after["queueDepth"].(float64); got != 0 {
+		t.Errorf("queueDepth = %v after the burst, want 0", got)
+	}
+
+	status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: syntax.Print(edited)})
+	if status != http.StatusOK {
+		t.Fatalf("analyze: %d: %s", status, data)
+	}
+	analyzed := decodeAnalyze(t, data)
+	want, err := json.Marshal(analyzed.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range resps {
+		got, err := json.Marshal(resp.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ProgramHash != analyzed.ProgramHash || !bytes.Equal(got, want) {
+			t.Errorf("session %d: delta report differs from /v1/analyze of the same source", i)
+		}
+		if d := resp.Delta; d == nil || len(d.DirtyMethods) == 0 || d.MethodsResolved != d.MethodsTotal || !d.Full {
+			t.Errorf("session %d: delta stats %+v, want a full solve with dirty methods", i, d)
+		}
+	}
+}
+
+// getMetrics fetches and decodes /metrics.
+func getMetrics(t *testing.T, ts *httptest.Server) map[string]any {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatalf("/metrics is not JSON: %v", err)
+	}
+	return m
+}
+
 func TestDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, err := ts.Client().Get(ts.URL + "/healthz")

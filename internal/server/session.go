@@ -5,26 +5,28 @@ import (
 	"sync"
 
 	"fx10/internal/constraints"
-	"fx10/internal/engine"
 	"fx10/internal/intset"
 	"fx10/internal/syntax"
 )
 
 // Delta sessions: /v1/delta is an editor-shaped protocol. A session
 // holds the last analyzed version of one program; each request sends
-// the full edited source and the server re-solves only the dirty
-// method closure against the session's base (engine.AnalyzeDelta),
-// then advances the base. Edits within one session are serialized by
-// the session mutex — an editor sends keystroke-ordered revisions —
-// while different sessions proceed in parallel. The store is a
-// bounded LRU: an evicted session is not an error, just a cold start
-// (the next delta request becomes a full analyze).
+// the full edited source, which is analyzed exactly like /v1/analyze
+// (same admission, coalescing and program cache), and the response
+// also names the methods whose content hash changed since the
+// session's previous version (engine.DeltaOf). The analysis is a full
+// one: reusing the clean methods' summaries waits on a seeded solve
+// (see ROADMAP.md). Edits within one session are serialized by the
+// session mutex — an editor sends keystroke-ordered revisions — while
+// different sessions proceed in parallel. The store is a bounded LRU:
+// an evicted session is not an error, just a cold start (the next
+// request reports no delta).
 
 type session struct {
 	mu   sync.Mutex
 	mode constraints.Mode
-	lang string         // canonical front-end name ("fx10", "x10", "go")
-	base *engine.Result // nil until the first analyze completes
+	lang string          // canonical front-end name ("fx10", "x10", "go")
+	base *syntax.Program // nil until the first analyze completes
 }
 
 type sessionStore struct {
@@ -56,10 +58,10 @@ func newSessionStore(capacity int) *sessionStore {
 // get returns the session for id, creating it with the given mode and
 // language on first use. A session is keyed by (id, mode, lang) in
 // effect: requesting an existing id under a different mode or front
-// end returns ok=false — the base result held by the session was
-// solved for its configuration's lowered program, so serving it to a
-// request of another configuration would mix two different analyses
-// (a delta against a base lowered by another front end is undefined).
+// end returns ok=false — the base held by the session is its
+// configuration's lowered program, so diffing a request of another
+// configuration against it would mix two different analyses (a delta
+// against a base lowered by another front end is undefined).
 // created reports a fresh session; evicted is the number of sessions
 // dropped to make room. The checks happen under the store lock, so a
 // caller never observes a session whose configuration it did not

@@ -6,10 +6,9 @@ import (
 	"sync"
 )
 
-// Content hashing: the incremental pipeline (internal/engine's
-// AnalyzeDelta, internal/constraints' SolveDelta) needs to decide
-// which methods of an edited program still mean what they meant in a
-// base program. Labels cannot answer that — they are dense
+// Content hashing: the method-summary tier and internal/engine's
+// AnalyzeDelta need to decide which methods of an edited program still
+// mean what they meant in a base program. Labels cannot answer that — they are dense
 // program-global indices, so inserting one instruction shifts the
 // labels of every later method. Instead each method gets a content
 // hash over a canonical encoding of its call-graph subtree:
@@ -29,8 +28,8 @@ import (
 // isomorphic subtrees, and the context-sensitive analysis — whose
 // per-method results depend only on the method's subtree — assigns
 // them identical values up to the label renumbering given by
-// MethodSubtreeLabels. That is the invariant both cache tiers and the
-// delta solver rest on.
+// MethodSubtreeLabels. That is the invariant both cache tiers rest
+// on.
 
 // ProgramHash is a content hash (sha256).
 type ProgramHash = [sha256.Size]byte
